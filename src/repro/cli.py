@@ -57,9 +57,7 @@ from .io import (
 from .mig import (
     ALGORITHMS,
     EquivalenceGuard,
-    MigError,
     Realization,
-    graph_engine_name,
     mig_from_netlist,
     rram_costs,
 )
@@ -484,12 +482,10 @@ def _cmd_bench_list(_args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .flows.bench import (
         append_bench_entry,
-        bench_batch_engine,
         bench_crossbar,
         bench_fuzz_smoke,
         bench_scale,
         bench_table2,
-        bench_tx_engine,
     )
 
     entries = []
@@ -505,12 +501,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("timing packed vs scalar verification on the fuzz smoke "
               "corpus ...")
         entries.append(bench_fuzz_smoke(jobs=args.jobs))
-    if args.what == "tx-engine":
-        print(f"timing proposed flows under both mutation engines "
-              f"(effort={args.effort}) ...")
-        entries.append(
-            bench_tx_engine(args.benchmarks or None, effort=args.effort)
-        )
     if args.what == "crossbar":
         print(f"timing crossbar mapping of the step-optimized flow "
               f"(effort={args.effort}, jobs={args.jobs}) ...")
@@ -524,12 +514,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"(effort={args.effort}) ...")
         entries.append(
             bench_scale(args.benchmarks or None, effort=args.effort)
-        )
-    if args.what == "batch":
-        print(f"timing the scale-tier flow with batch kernels off vs on "
-              f"(effort={args.effort}) ...")
-        entries.append(
-            bench_batch_engine(args.benchmarks or None, effort=args.effort)
         )
     for entry in entries:
         if not args.no_append:
@@ -557,23 +541,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                         f"{costs['optimize_seconds']}s "
                         f"(build {cell['build_seconds']}s)"
                     )
-        elif entry["kind"] == "batch-engine":
-            for name, cell in entry["benchmarks"].items():
-                for realization in ("imp", "maj"):
-                    timing = cell[realization]
-                    print(
-                        f"batch-engine : {name} ({cell['gates']} gates) "
-                        f"{realization} scalar "
-                        f"{timing['scalar_seconds']}s / batch "
-                        f"{timing['batch_seconds']}s = "
-                        f"{timing['speedup']}x"
-                    )
-        elif entry["kind"] == "tx-engine":
-            for label, flow in entry["flows"].items():
-                speedup = flow.get("speedup_vs_clone_baseline")
-                suffix = f" = {speedup}x vs clone baseline" if speedup else ""
-                print(f"tx-engine    : {label} tx {flow['tx_seconds']}s / "
-                      f"legacy {flow['legacy_seconds']}s{suffix}")
         else:
             print(f"fuzz-smoke   : packed {entry['packed_seconds']}s vs "
                   f"scalar {entry['scalar_seconds']}s = "
@@ -904,11 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Table II subset for the table2 timing")
     bench.add_argument(
         "--what",
-        choices=["table2", "fuzz-smoke", "tx-engine", "crossbar", "scale",
-                 "batch", "all"],
+        choices=["table2", "fuzz-smoke", "crossbar", "scale", "all"],
         default="all",
-        help="which measurement to run (default all; tx-engine, "
-        "crossbar, scale, and batch only when named explicitly)",
+        help="which measurement to run (default all; crossbar and "
+        "scale only when named explicitly)",
     )
     bench.add_argument("--effort", type=int, default=10,
                        help="optimizer effort for the table2 timing")
@@ -1005,8 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_report = obs_sub.add_parser(
         "report",
-        help="sparkline trend tables per (kind, engine, effort), "
-        "latest-vs-baseline deltas, slab occupancy gauges",
+        help="sparkline trend tables per (kind, effort), "
+        "latest-vs-baseline deltas, node-allocation gauges",
     )
     obs_report.add_argument(
         "--ledger", default="BENCH_runtime.json",
@@ -1090,14 +1056,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        # Fail fast on a bad REPRO_GRAPH before any flow builds a graph
-        # (worker processes inherit the variable, so a typo would
-        # otherwise surface as a mid-run crash in a pool).
-        graph_engine_name()
-    except MigError as error:
-        print(f"repro-synth: error: {error}", file=sys.stderr)
-        return 2
     try:
         with _telemetry_session(args) as session:
             args._telemetry = session

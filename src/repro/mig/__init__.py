@@ -6,19 +6,12 @@ from .graph import (
     CONST1,
     Mig,
     MigError,
-    ObjectMig,
     Signal,
-    graph_engine,
-    graph_engine_name,
     make_signal,
     signal_is_complemented,
     signal_node,
     signal_not,
-    transaction_engine,
-    transactions_enabled,
 )
-from .batch import batch_enabled, batch_evaluation, batch_min_nodes
-from .slab import SlabMig
 from .views import (
     LevelStats,
     Realization,
@@ -68,15 +61,6 @@ __all__ = [
     "signal_is_complemented",
     "signal_node",
     "signal_not",
-    "ObjectMig",
-    "SlabMig",
-    "graph_engine",
-    "graph_engine_name",
-    "transaction_engine",
-    "transactions_enabled",
-    "batch_enabled",
-    "batch_evaluation",
-    "batch_min_nodes",
     "CostView",
     "CostViewCounters",
     "LevelStats",

@@ -21,17 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..telemetry import active_trajectory, span, traced
-from .batch import batch_enabled, batch_min_nodes
 from .costview import CostView
-from .graph import (
-    Mig,
-    signal_is_complemented,
-    signal_node,
-    transactions_enabled,
-)
+from .graph import Mig, signal_is_complemented, signal_node
 from .rewrite import (
     apply_associativity,
     apply_complementary_associativity,
@@ -234,14 +226,6 @@ def push_up(
 # Inverter propagation pass (Sec. III-C3 / III-D)
 # ----------------------------------------------------------------------
 
-#: Batched-score rebuilds per inverter-propagation round before the
-#: round falls back to scalar scoring.  Every accepted flip invalidates
-#: the batch (the score arrays price moves against the pre-flip
-#: histogram), so a round with many accepts would otherwise re-kernel
-#: per accept; past this cap the scalar loop is cheaper.
-_BATCH_CASE_REBUILDS = 32
-
-
 def _apply_flip_tracked(
     mig: Mig, node: int, levels: Dict[int, int]
 ) -> Optional[bool]:
@@ -314,10 +298,9 @@ def inverter_propagation_pass(
             return best
 
         def predict_one(node: int, level: int):
-            """Scalar per-move prediction (shared by both paths): the
-            post-flip complement histogram ``(new_c, new_po_c)``, or
-            None when an attached parent is untracked (dead) or out of
-            range — the move is unscorable and is skipped."""
+            """The post-flip complement histogram ``(new_c, new_po_c)``,
+            or None when an attached parent is untracked (dead) or out
+            of range — the move is unscorable and is skipped."""
             new_c = list(c_per_level)
             new_po_c = po_complements
             children = mig.children(node)
@@ -337,107 +320,24 @@ def inverter_propagation_pass(
                 new_po_c += -1 if signal_is_complemented(po) else 1
             return new_c, new_po_c
 
-        # Batched trial evaluation (repro.mig.batch): classify and
-        # price every candidate in one numpy pass against the slab
-        # arrays, then walk the same node order consuming precomputed
-        # verdicts.  Accepted flips invalidate the batch (the scores
-        # price moves against the pre-flip histogram), so the arrays
-        # rebuild on generation drift — bounded per round by
-        # ``_BATCH_CASE_REBUILDS`` before falling back to scalar.
-        case_kernel = (
-            getattr(mig, "slab_invprop_case_array", None)
-            if view is not None and batch_enabled()
-            else None
-        )
-        kernel_on = case_kernel is not None
-        case_arr = score_ok = score_cost = score_own = None
-        case_gen = -1
-        rebuilds = 0
-
         changed = False
         for node in _reachable_of(mig, view):
             if not mig.is_gate(node):
                 continue
-            if kernel_on and case_gen != mig._generation:
-                rebuilds += 1
-                if rebuilds > _BATCH_CASE_REBUILDS:
-                    kernel_on = False
-                else:
-                    with span(
-                        "opt.batch_score", pass_name="inverter_propagation"
-                    ):
-                        arr = case_kernel(batch_min_nodes())
-                    if arr is None:
-                        kernel_on = False
-                    else:
-                        case_gen = mig._generation
-                        count = len(levels)
-                        ids = np.fromiter(
-                            levels.keys(), dtype=np.int64, count=count
-                        )
-                        lvls = np.fromiter(
-                            levels.values(), dtype=np.int64, count=count
-                        )
-                        # Candidate superset: tracked gates the scalar
-                        # loop could query (stale entries for detached
-                        # nodes are harmless — never looked up).
-                        keep = (
-                            (lvls > 0)
-                            & (lvls < len(c_per_level))
-                            & (ids < len(arr))
-                        )
-                        cand = ids[keep]
-                        if cases is not None:
-                            cand = cand[np.isin(arr[cand], list(cases))]
-                        view.counters.batch_score_calls += 1
-                        view.counters.batch_candidates_scored += len(cand)
-                        # Python lists beat per-element numpy indexing
-                        # in the scalar walk below by ~5×.
-                        case_arr = arr.tolist()
-                        if len(cand):
-                            with span(
-                                "opt.batch_score", pass_name="invprop_scores"
-                            ):
-                                scores = mig.slab_invprop_scores(
-                                    cand,
-                                    levels,
-                                    n_per_level,
-                                    c_per_level,
-                                    po_complements,
-                                    k_r,
-                                    steps_weight,
-                                    rram_weight,
-                                )
-                            score_ok = scores["ok"].tolist()
-                            score_cost = scores["cost"].tolist()
-                            score_own = scores["c_own"].tolist()
-                        else:
-                            # Nothing passes the case filter, so the
-                            # score rows are never read.
-                            score_ok = score_cost = score_own = ()
-            if kernel_on:
-                case = case_arr[node] or None
-            else:
-                case = inverter_propagation_case(mig, node)
+            case = inverter_propagation_case(mig, node)
             if cases is not None and (case is None or case not in cases):
                 continue
             level = levels.get(node)
             if level is None or level >= len(c_per_level):
                 continue
             # Predict the new complement counts after flipping `node`.
-            predicted = None
-            if kernel_on:
-                if not score_ok[node]:
-                    continue
-                new_cost = score_cost[node]
-                c_own = score_own[node]
-            else:
-                predicted = predict_one(node, level)
-                if predicted is None:
-                    continue
-                new_cost = steps_weight * total_l(predicted[0], predicted[1])
-                new_cost += rram_weight * total_r(predicted[0])
-                c_own = predicted[0][level]
+            predicted = predict_one(node, level)
+            if predicted is None:
+                continue
+            new_c, new_po_c = predicted
+            new_cost = steps_weight * total_l(new_c, new_po_c)
+            new_cost += rram_weight * total_r(new_c)
+            c_own = new_c[level]
             old_cost = steps_weight * total_l(c_per_level, po_complements)
             old_cost += rram_weight * total_r(c_per_level)
             if view is not None:
@@ -451,13 +351,6 @@ def inverter_propagation_pass(
                 # (Sec. III-D); refuse neutral case-3 churn.
                 if case == 3 or case is None or c_own >= c_per_level[level]:
                     continue
-            if predicted is None:
-                # Batch path: materialize the exact histogram only for
-                # the accepted move (bookkeeping below needs it).
-                predicted = predict_one(node, level)
-                if predicted is None:
-                    continue
-            new_c, new_po_c = predicted
             outcome = _apply_flip_tracked(mig, node, levels)
             if outcome is None:
                 continue
@@ -538,48 +431,6 @@ def _try_clear_level(mig: Mig, level: int, levels: Dict[int, int]) -> bool:
     return True
 
 
-def _batch_collision_cache(
-    mig: Mig,
-    view: CostView,
-    remaining: Sequence[Tuple[int, int]],
-    node_level_map: Dict[int, int],
-) -> Dict[Tuple[int, ...], bool]:
-    """Strash-collision verdicts for every remaining level candidate.
-
-    Recomputes each candidate's flip plan exactly as the main loop
-    will (PO level inline, gate levels via :func:`_level_clear_plan`)
-    and probes the whole batch in one vectorized strash pass
-    (:meth:`CostView.batch_probe_flip_groups`).  Sound only at the
-    round's compaction fixpoint, where the graph content — and hence
-    every plan and every probe verdict — is invariant across rejected
-    trials; an accepted candidate breaks the loop, so stale verdicts
-    are never consumed.
-    """
-    plans: List[List[int]] = []
-    for _count, level in remaining:
-        if level == -1:
-            flips: List[int] = []
-            feasible = True
-            for po in mig.pos:
-                if signal_is_complemented(po) and signal_node(po) != 0:
-                    driver = signal_node(po)
-                    if not mig.is_gate(driver):
-                        feasible = False
-                        break
-                    flips.append(driver)
-            if not feasible or not flips:
-                continue
-            flips = list(dict.fromkeys(flips))
-        else:
-            plan = _level_clear_plan(mig, level, node_level_map)
-            if plan is None:
-                continue
-            flips = plan[0] + plan[1]
-        plans.append(flips)
-    with span("opt.batch_score", pass_name="clear_levels_probe"):
-        return view.batch_probe_flip_groups(plans)
-
-
 @traced("pass.clear_complemented_levels")
 def clear_complemented_levels(
     mig: Mig,
@@ -603,11 +454,11 @@ def clear_complemented_levels(
     apply/measure/rollback cycle that dominates the whole-set runtime.
     This is result-identical: the prediction is exact unless a strash
     collision is possible (then it falls back to the measured path),
-    and the baseline's rollback renumbering — ``copy_from(snapshot)``
+    and a measured rejection's renumbering — rollback + ``compact()``
     lands on ``clone(clone(state))``, and cloning is *not* idempotent
     because renumbering re-sorts triples and thus reorders the next
-    traversal — is reproduced verbatim by ``copy_from(clone())``; the
-    trial flips themselves never touch the surviving arrays.
+    traversal — is reproduced verbatim by ``compact()`` alone; the
+    predicted trial flips themselves never touch the graph.
     """
     changed_any = False
     for _round in range(max_rounds):
@@ -625,14 +476,13 @@ def clear_complemented_levels(
             candidates.append((stats.po_complements, -1))
         improved = False
         node_level_map = stats.node_levels
-        # The baseline's rejected-candidate state dance — ``snapshot =
-        # clone(); <trial, discarded>; copy_from(snapshot)`` — lands on
+        # A rejected measured trial (rollback + compact) lands on
         # ``clone(clone(state))``.  One clone is NOT enough (renumbering
         # re-sorts triples, which reorders the next traversal), but the
         # double clone is a fixpoint: ``clone`` is identity on its own
         # double image, so once a round has compacted, every further
         # rejected candidate maps the state back onto itself and the
-        # clones can be skipped (tests cross-check this against a
+        # compactions can be skipped (tests cross-check this against a
         # reference clone-per-candidate implementation).
         at_fixpoint = False
 
@@ -642,28 +492,9 @@ def clear_complemented_levels(
                 mig.compact()
                 at_fixpoint = True
 
-        # Batched strash probing: once the round hits its compaction
-        # fixpoint the graph content is pinned across rejected trials,
-        # so the collision pre-check inside ``predict_flip_group`` can
-        # be hoisted out and vectorized over all remaining candidates.
-        collision_cache: Optional[Dict[Tuple[int, ...], bool]] = None
-        batch_probes = (
-            view is not None
-            and batch_enabled()
-            and stats.size >= batch_min_nodes()
-        )
-        for cand_index, (_count, level) in enumerate(candidates):
-            if (
-                batch_probes
-                and at_fixpoint
-                and collision_cache is None
-                and len(candidates) - cand_index >= 2
-            ):
-                collision_cache = _batch_collision_cache(
-                    mig, view, candidates[cand_index:], node_level_map
-                )
-            # Cheap structural feasibility check before paying for the
-            # snapshot clone (and the exact flip plan for prediction).
+        for _count, level in candidates:
+            # Cheap structural feasibility check before opening a trial
+            # (and the exact flip plan for prediction).
             if level == -1:
                 flips: List[int] = []
                 feasible = True
@@ -675,8 +506,8 @@ def clear_complemented_levels(
                             break
                         flips.append(driver)
                 if not feasible or not flips:
-                    # Baseline clones, fails inside _try_clear_po_level
-                    # and rolls back without applying anything.
+                    # A measured trial would fail inside
+                    # _try_clear_po_level and roll back untouched.
                     reject_compact()
                     continue
                 flips = list(dict.fromkeys(flips))
@@ -687,14 +518,7 @@ def clear_complemented_levels(
                 flips = plan[0] + plan[1]
             if view is not None:
                 view.counters.moves_tried += 1
-                collides = (
-                    collision_cache.get(tuple(flips))
-                    if collision_cache is not None
-                    else None
-                )
-                predicted = view.predict_flip_group(
-                    flips, realization, collides=collides
-                )
+                predicted = view.predict_flip_group(flips, realization)
                 if predicted is not None:
                     if predicted < before:
                         for node in flips:
@@ -713,48 +537,33 @@ def clear_complemented_levels(
                         mig, view, rule="clear_level", accepted=False
                     )
                     continue
-            # Measured trial.  The transactional engine replaces the
-            # whole-graph snapshot clone with an O(touched) undo
-            # journal; a rejected trial rolls back and compacts, which
-            # is bit-identical to the legacy ``copy_from(snapshot)``
-            # (both land on ``clone(clone(pre-trial state))``, and
-            # ``clone`` never reads the dicts whose insertion order a
-            # rollback scrambles).
-            if transactions_enabled():
-                token = mig.checkpoint()
-                snapshot = None
-            else:
-                token = None
-                snapshot = mig.clone()
+            # Measured trial under an O(touched) undo journal; a rejected
+            # trial rolls back and compacts, landing on
+            # ``clone(clone(pre-trial state))`` (``clone`` never reads
+            # the dicts whose insertion order a rollback scrambles).
+            token = mig.checkpoint()
             if level == -1:
                 ok = _try_clear_po_level(mig)
             else:
                 ok = _try_clear_level(mig, level, node_level_map)
             if not ok:
-                if token is not None:
-                    mig.rollback(token)
-                    mig.compact()
-                else:
-                    mig.copy_from(snapshot)
+                mig.rollback(token)
+                mig.compact()
                 at_fixpoint = True
                 _record_trial(mig, view, rule="clear_level", accepted=False)
                 continue
             after_costs = _costs_of(mig, realization, view)
             after = (after_costs.steps, after_costs.rrams)
             if after < before:
-                if token is not None:
-                    mig.commit(token)
+                mig.commit(token)
                 improved = True
                 changed_any = True
                 if view is not None:
                     view.counters.moves_accepted += 1
                 _record_trial(mig, view, rule="clear_level", accepted=True)
                 break
-            if token is not None:
-                mig.rollback(token)
-                mig.compact()
-            else:
-                mig.copy_from(snapshot)
+            mig.rollback(token)
+            mig.compact()
             at_fixpoint = True
             _record_trial(mig, view, rule="clear_level", accepted=False)
         if not improved:
@@ -822,18 +631,11 @@ def _drive(
     """
     initial_size, initial_depth = _size_depth(mig, view)
     best_key = objective(mig)
-    # Best-snapshot tracking: the transactional engine keeps a
-    # checkpoint open at the best state seen so far — improving cycles
-    # commit it and open a fresh one (O(1)), worse cycles accumulate
-    # undo records.  The legacy engine clones the whole graph at every
-    # improvement.  Both finish identically: restoring the best state
-    # renumbers via ``clone(clone(best))``, reproduced here by
-    # rollback + compact.
-    use_tx = transactions_enabled()
-    best: Optional[Mig] = None
-    token = mig.checkpoint() if use_tx else None
-    if not use_tx:
-        best = mig.clone()
+    # Best-snapshot tracking: a checkpoint stays open at the best state
+    # seen so far — improving cycles commit it and open a fresh one
+    # (O(1)), worse cycles accumulate undo records.  Restoring the best
+    # state rolls back and compacts, renumbering to ``clone(clone(best))``.
+    token = mig.checkpoint()
     history: List[Tuple[int, int]] = []
     cycles = 0
     stale = 0
@@ -850,26 +652,20 @@ def _drive(
             )
             if improved_cycle:
                 best_key = key
-                if use_tx:
-                    mig.commit(token)
-                    token = mig.checkpoint()
-                else:
-                    best = mig.clone()
+                mig.commit(token)
+                token = mig.checkpoint()
                 stale = 0
             else:
                 stale += 1
             if not changed or stale >= 3:
                 break
         if objective(mig) > best_key:
-            if use_tx:
-                mig.rollback(token)
-                mig.compact()
-            else:
-                mig.copy_from(best)
+            mig.rollback(token)
+            mig.compact()
             _record_trial(
                 mig, view, rule=f"{algorithm}.restore_best", accepted=True
             )
-        elif use_tx:
+        else:
             mig.commit(token)
     final_size, final_depth = _size_depth(mig, view)
     return OptimizationResult(
@@ -1044,19 +840,13 @@ def optimize_steps(
 
     result = _drive(mig, "steps", effort, body, objective, view)
     before = objective(mig)
-    if transactions_enabled():
-        token = mig.checkpoint()
-        push_up(mig, use_relevance=True, view=view)
-        if objective(mig) > before:
-            mig.rollback(token)
-            mig.compact()
-        else:
-            mig.commit(token)
+    token = mig.checkpoint()
+    push_up(mig, use_relevance=True, view=view)
+    if objective(mig) > before:
+        mig.rollback(token)
+        mig.compact()
     else:
-        snapshot = mig.clone()
-        push_up(mig, use_relevance=True, view=view)
-        if objective(mig) > before:
-            mig.copy_from(snapshot)
+        mig.commit(token)
     size, depth = _size_depth(mig, view)
     result.final_size, result.final_depth = size, depth
     result.profile = view.profile()

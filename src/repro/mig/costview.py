@@ -38,8 +38,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .graph import EVENT_ATTACH, EVENT_DETACH, EVENT_PO, Mig
 from .views import LevelStats, Realization, RramCosts, level_stats
 
@@ -59,23 +57,6 @@ class CostViewCounters:
     moves_tried: int = 0
     moves_accepted: int = 0
     predicted_skips: int = 0
-    # Batched trial evaluation (repro.mig.batch).  Always present —
-    # zero when the batch path is off — and *excluded* from batch-vs-
-    # scalar bit-identity comparisons (they count kernel invocations,
-    # which only exist on the batch path).
-    batch_score_calls: int = 0
-    batch_candidates_scored: int = 0
-    batch_group_calls: int = 0
-    batch_strash_probes: int = 0
-
-    #: Counter names that only accrue on the batch path (everything
-    #: else must match bit-for-bit between REPRO_BATCH=0 and 1).
-    BATCH_ONLY = (
-        "batch_score_calls",
-        "batch_candidates_scored",
-        "batch_group_calls",
-        "batch_strash_probes",
-    )
 
     def merge(self, other: "CostViewCounters") -> None:
         self.full_recomputes += other.full_recomputes
@@ -85,10 +66,6 @@ class CostViewCounters:
         self.moves_tried += other.moves_tried
         self.moves_accepted += other.moves_accepted
         self.predicted_skips += other.predicted_skips
-        self.batch_score_calls += other.batch_score_calls
-        self.batch_candidates_scored += other.batch_candidates_scored
-        self.batch_group_calls += other.batch_group_calls
-        self.batch_strash_probes += other.batch_strash_probes
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -99,10 +76,6 @@ class CostViewCounters:
             "moves_tried": self.moves_tried,
             "moves_accepted": self.moves_accepted,
             "predicted_skips": self.predicted_skips,
-            "batch_score_calls": self.batch_score_calls,
-            "batch_candidates_scored": self.batch_candidates_scored,
-            "batch_group_calls": self.batch_group_calls,
-            "batch_strash_probes": self.batch_strash_probes,
         }
 
 
@@ -141,11 +114,6 @@ class CostView:
 
     def _full_rebuild(self) -> None:
         mig = self.mig
-        kernel = getattr(mig, "slab_cost_arrays", None)
-        packed = kernel() if kernel is not None else None
-        if packed is not None:
-            self._rebuild_from_arrays(packed)
-            return
         children_arr = mig._children
         order = mig._reachable_cached()
         levels: Dict[int, int] = {}
@@ -173,52 +141,6 @@ class CostView:
             n_at[level] = n_at.get(level, 0) + 1
             if comp:
                 c_at[level] = c_at.get(level, 0) + comp
-        for po in mig._pos:
-            driver = po >> 1
-            if driver != 0 and not is_pi[driver]:
-                live_ref[driver] = live_ref.get(driver, 0) + 1
-        self._levels = levels
-        self._live_ref = live_ref
-        self._in_comp = in_comp
-        self._n_at = n_at
-        self._c_at = c_at
-        self._order = order
-        self._order_gen = mig._generation
-        self._refresh_po_summary()
-        self._generation = mig._generation
-        self._cursor = mig.event_cursor()
-        mig.discard_events_upto(self._cursor)
-        self._costs_cache.clear()
-        self.counters.full_recomputes += 1
-
-    def _rebuild_from_arrays(self, packed: dict) -> None:
-        """Full rebuild from the slab engine's bulk arrays (see
-        ``SlabMig.slab_cost_arrays``) — identical content to the scalar
-        loop (only n_at/c_at/live_ref *insertion order* differs, which
-        nothing observes: they are value-aggregated or key-looked-up)."""
-        mig = self.mig
-        is_pi = mig._is_pi
-        order = packed["order"]
-        lvl_list = packed["lvl_list"]
-        levels = dict(zip(order, map(lvl_list.__getitem__, order)))
-        in_comp = dict(zip(order, packed["comp"].tolist()))
-        levels_np = packed["levels"]
-        comp_np = packed["comp"]
-        n_counts = np.bincount(levels_np)
-        n_at = {
-            level: count
-            for level, count in enumerate(n_counts.tolist())
-            if count
-        }
-        c_counts = np.bincount(levels_np, weights=comp_np).astype(np.int64)
-        c_at = {
-            level: count
-            for level, count in enumerate(c_counts.tolist())
-            if count
-        }
-        refs = packed["refs"]
-        nonzero = refs.nonzero()[0]
-        live_ref = dict(zip(nonzero.tolist(), refs[nonzero].tolist()))
         for po in mig._pos:
             driver = po >> 1
             if driver != 0 and not is_pi[driver]:
@@ -572,8 +494,6 @@ class CostView:
         self,
         flips: Sequence[int],
         realization: Realization,
-        *,
-        collides: Optional[bool] = None,
     ) -> Optional[Tuple[int, int]]:
         """Exact ``(S, R)`` after Ω.I-flipping every gate in ``flips``.
 
@@ -583,39 +503,27 @@ class CostView:
         collision check is conservative (order-aware over the planned
         sequence): when a collision is possible this returns ``None``
         and the caller must fall back to apply-and-measure.
-
-        ``collides`` injects a precomputed verdict for that check (from
-        :meth:`batch_probe_flip_groups`): ``True`` short-circuits to
-        ``None``, ``False`` skips the scalar probe loop, ``None`` (the
-        default) probes scalar-ly.  The injected verdict must have been
-        computed against the current graph content — callers batch it
-        only at the ``clear_complemented_levels`` fixpoint, where the
-        graph is invariant across rejected trials.
         """
         self._sync()
-        if collides:
-            return None
         mig = self.mig
         children_arr = mig._children
         strash = mig._strash
         levels = self._levels
         applied = [f for f in flips if children_arr[f] is not None]
-        if collides is None:
-            done: set = set()
-            for node in applied:
-                triple = children_arr[node]
-                if not (
-                    (triple[0] >> 1) in done  # type: ignore[index]
-                    or (triple[1] >> 1) in done  # type: ignore[index]
-                    or (triple[2] >> 1) in done  # type: ignore[index]
-                ):
-                    # No earlier flip rewrote a child, so the negated
-                    # triple is looked up verbatim — a hit means a
-                    # possible merge.
-                    negated = tuple(sorted(s ^ 1 for s in triple))  # type: ignore[union-attr]
-                    if negated in strash:
-                        return None
-                done.add(node)
+        done: set = set()
+        for node in applied:
+            triple = children_arr[node]
+            if not (
+                (triple[0] >> 1) in done  # type: ignore[index]
+                or (triple[1] >> 1) in done  # type: ignore[index]
+                or (triple[2] >> 1) in done  # type: ignore[index]
+            ):
+                # No earlier flip rewrote a child, so the negated triple
+                # is looked up verbatim — a hit means a possible merge.
+                negated = tuple(sorted(s ^ 1 for s in triple))  # type: ignore[union-attr]
+                if negated in strash:
+                    return None
+            done.add(node)
         flip_set = set(applied)
         c_delta: Dict[int, int] = {}
         po_delta = 0
@@ -669,71 +577,6 @@ class CostView:
                 best = value
         return (steps, best)
 
-    #: Probe-count threshold below which :meth:`batch_probe_flip_groups`
-    #: stays on scalar dict lookups (numpy call overhead loses).
-    BATCH_PROBE_MIN = 8
-
-    def batch_probe_flip_groups(
-        self, plans: Sequence[Sequence[int]]
-    ) -> Dict[Tuple[int, ...], bool]:
-        """Strash-collision verdicts for a batch of flip-group plans.
-
-        For each plan this replays :meth:`predict_flip_group`'s
-        order-aware collision pre-check (probe the negated triple of
-        every flip whose children no earlier flip rewrote) and returns
-        ``{tuple(plan): would_collide}``.  The probes are vectorized
-        against the slab-side packed strash table
-        (:meth:`repro.mig.slab.SlabMig.strash_probe_batch`) when the
-        batch is large enough; otherwise they stay scalar dict lookups.
-
-        The method is *pure* with respect to view state — it reads the
-        graph's children/strash directly and never synchronizes — so it
-        leaves the scalar counter stream untouched.  Verdicts are only
-        valid while the graph content is unchanged (the
-        ``clear_complemented_levels`` fixpoint guarantees this across
-        rejected trials).
-        """
-        self.counters.batch_group_calls += 1
-        self.counters.batch_candidates_scored += len(plans)
-        mig = self.mig
-        children_arr = mig._children
-        strash = mig._strash
-        # Collect every probe triple, remembering which plan it belongs
-        # to; a plan collides iff any of its probes hits the strash.
-        probes: List[Tuple[int, int, int]] = []
-        probe_plan: List[int] = []
-        keys: List[Tuple[int, ...]] = []
-        for idx, flips in enumerate(plans):
-            keys.append(tuple(flips))
-            done: set = set()
-            for node in flips:
-                triple = children_arr[node]
-                if triple is None:
-                    continue
-                if not (
-                    (triple[0] >> 1) in done
-                    or (triple[1] >> 1) in done
-                    or (triple[2] >> 1) in done
-                ):
-                    negated = tuple(sorted(s ^ 1 for s in triple))
-                    probes.append(negated)  # type: ignore[arg-type]
-                    probe_plan.append(idx)
-                done.add(node)
-        self.counters.batch_strash_probes += len(probes)
-        verdicts = [False] * len(plans)
-        hits: Optional[Sequence[bool]] = None
-        probe_batch = getattr(mig, "strash_probe_batch", None)
-        if probe_batch is not None and len(probes) >= self.BATCH_PROBE_MIN:
-            result = probe_batch(np.asarray(probes, dtype=np.int64))
-            if result is not None:
-                hits = result.tolist()
-        if hits is None:
-            hits = [probe in strash for probe in probes]
-        for idx, hit in zip(probe_plan, hits):
-            if hit:
-                verdicts[idx] = True
-        return dict(zip(keys, verdicts))
-
     # ------------------------------------------------------------------
     # Profiling
     # ------------------------------------------------------------------
@@ -758,10 +601,9 @@ class CostView:
         base = self._mig_counter_base
         for key, value in self._mig_counters().items():
             merged[key] = value - base[key]
-        # Occupancy gauges (not deltas): summing across --jobs shards
-        # totals the slot/slab footprint of the whole run.
+        # Occupancy gauge (not a delta): summing across --jobs shards
+        # totals the node-slot footprint of the whole run.
         merged["nodes_allocated"] = self.mig.num_nodes_allocated
-        merged["slab_capacity"] = self.mig.slab_capacity
         return merged
 
     # ------------------------------------------------------------------

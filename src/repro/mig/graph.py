@@ -36,11 +36,10 @@ Transactions
 Every mutating primitive appends an inverse record to an undo journal
 while a transaction is open (:meth:`Mig.checkpoint`), so a rejected
 speculative edit is undone in O(touched nodes) by
-:meth:`Mig.rollback` instead of the O(graph) ``clone()``/``copy_from``
-snapshot dance.  Rollback replays inverse *events* through the normal
-event log as well, so an attached
-:class:`repro.mig.costview.CostView` rolls its cost state back in
-lockstep without a full recompute.  :meth:`Mig.commit` discards the
+:meth:`Mig.rollback` instead of an O(graph) snapshot copy.  Rollback
+replays inverse *events* through the normal event log as well, so an
+attached :class:`repro.mig.costview.CostView` rolls its cost state back
+in lockstep without a full recompute.  :meth:`Mig.commit` discards the
 journal suffix.  ``generation`` stays monotone across rollbacks (a
 restored state is a *new* version — caches keyed by generation must
 never alias across a rollback).
@@ -48,7 +47,6 @@ never alias across a rollback).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..truth import TruthTable, table_mask
@@ -63,116 +61,6 @@ EVENT_PO = 2  # (EVENT_PO, index, old_signal_or_None, new_signal)
 
 CONST0: Signal = 0
 CONST1: Signal = 1
-
-# ----------------------------------------------------------------------
-# Transaction-engine switch
-# ----------------------------------------------------------------------
-# The optimizers keep their historical clone()-based rollback paths for
-# differential testing (the fuzz oracle's "tx-diff" check, the CI
-# determinism smoke).  The transactional engine is the default;
-# ``REPRO_TX=0`` in the environment disables it process-wide (worker
-# processes inherit the variable, so ``--jobs`` runs stay consistent),
-# and :class:`transaction_engine` overrides it for one in-process block.
-
-_TX_DEFAULT = os.environ.get("REPRO_TX", "1") != "0"
-_TX_OVERRIDE: Optional[bool] = None
-
-
-def transactions_enabled() -> bool:
-    """True when optimizers should roll back via checkpoint/rollback
-    instead of clone()-based snapshots (the paths are result-identical;
-    see ``REPRO_TX`` and :class:`transaction_engine`)."""
-    return _TX_DEFAULT if _TX_OVERRIDE is None else _TX_OVERRIDE
-
-
-class transaction_engine:
-    """Context manager forcing the rollback-engine choice for a block.
-
-    ``with transaction_engine(False): ...`` runs the wrapped optimizer
-    calls on the legacy clone()-based paths regardless of ``REPRO_TX``;
-    ``transaction_engine(True)`` forces the transactional engine.
-    Nested uses restore the previous override on exit.
-    """
-
-    def __init__(self, enabled: bool) -> None:
-        self._enabled = enabled
-        self._prev: Optional[bool] = None
-
-    def __enter__(self) -> "transaction_engine":
-        global _TX_OVERRIDE
-        self._prev = _TX_OVERRIDE
-        _TX_OVERRIDE = self._enabled
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        global _TX_OVERRIDE
-        _TX_OVERRIDE = self._prev
-        return False
-
-
-# ----------------------------------------------------------------------
-# Graph-engine switch
-# ----------------------------------------------------------------------
-# Two storage engines implement the same ``Mig`` facade: the historical
-# pure-object core (``ObjectMig`` — tuples, dicts, lists) and the
-# numpy-slab core (:class:`repro.mig.slab.SlabMig` — a contiguous
-# ``(capacity, 3)`` signal array kept in sync lazily, feeding vectorized
-# cost kernels).  Both are bit-identical by construction (the slab is a
-# cache *next to* the object arrays, never the source of truth for
-# mutation), so the switch is pure performance.  ``REPRO_GRAPH`` is read
-# lazily on every construction so worker processes and tests see the
-# ambient environment; :class:`graph_engine` overrides it in-process.
-
-_GRAPH_ENGINES = ("object", "slab")
-_GRAPH_OVERRIDE: Optional[str] = None
-
-
-def graph_engine_name() -> str:
-    """The storage engine new :class:`Mig` instances use.
-
-    ``"slab"`` (default) or ``"object"``; raises :class:`MigError` on an
-    unknown ``REPRO_GRAPH`` value so callers (the CLI) can fail fast.
-    """
-    name = _GRAPH_OVERRIDE
-    if name is None:
-        name = os.environ.get("REPRO_GRAPH", "slab")
-    if name not in _GRAPH_ENGINES:
-        raise MigError(
-            f"unknown graph engine {name!r} (expected one of "
-            f"{', '.join(_GRAPH_ENGINES)})"
-        )
-    return name
-
-
-class graph_engine:
-    """Context manager forcing the graph storage engine for a block.
-
-    ``with graph_engine("object"): ...`` builds every new ``Mig`` on the
-    legacy object core regardless of ``REPRO_GRAPH``; existing instances
-    keep their engine (``clone`` preserves the concrete class).  Nested
-    uses restore the previous override on exit.
-    """
-
-    def __init__(self, name: str) -> None:
-        if name not in _GRAPH_ENGINES:
-            raise MigError(
-                f"unknown graph engine {name!r} (expected one of "
-                f"{', '.join(_GRAPH_ENGINES)})"
-            )
-        self._name = name
-        self._prev: Optional[str] = None
-
-    def __enter__(self) -> "graph_engine":
-        global _GRAPH_OVERRIDE
-        self._prev = _GRAPH_OVERRIDE
-        _GRAPH_OVERRIDE = self._name
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        global _GRAPH_OVERRIDE
-        _GRAPH_OVERRIDE = self._prev
-        return False
-
 
 def make_signal(node: int, complement: bool = False) -> Signal:
     """Build a signal from a node index and a complement flag."""
@@ -216,25 +104,7 @@ def _reduce_majority(children: Tuple[Signal, Signal, Signal]) -> Optional[Signal
 
 
 class Mig:
-    """A mutable, structurally hashed Majority-Inverter Graph.
-
-    ``Mig(...)`` is a facade: construction dispatches to the concrete
-    storage engine selected by :func:`graph_engine_name` (the numpy-slab
-    core by default, the legacy object core under
-    ``REPRO_GRAPH=object``).  Subclasses instantiate themselves
-    directly, so ``clone()`` — which builds ``type(self)(...)`` — always
-    preserves the engine of the instance being cloned.
-    """
-
-    def __new__(cls, name: str = "mig") -> "Mig":
-        if cls is Mig:
-            if graph_engine_name() == "slab":
-                from .slab import SlabMig
-
-                cls = SlabMig
-            else:
-                cls = ObjectMig
-        return object.__new__(cls)
+    """A mutable, structurally hashed Majority-Inverter Graph."""
 
     def __init__(self, name: str = "mig") -> None:
         self.name = name
@@ -305,13 +175,7 @@ class Mig:
             "mig.strash_misses": self.strash_misses,
             "graph.compactions": self.compactions,
             "graph.nodes_allocated": len(self._children),
-            "graph.slab_capacity": self.slab_capacity,
         }
-
-    @property
-    def slab_capacity(self) -> int:
-        """Allocated slab rows (0 on the object engine — no slab)."""
-        return 0
 
     def enable_event_log(self) -> int:
         """Start recording structural events for incremental views.
@@ -782,7 +646,7 @@ class Mig:
         nor collide in the strash, and the result is identical to the
         (much slower) make_maj-based rebuild it replaces.
         """
-        copy = type(self)(self.name)  # clones stay on the same engine
+        copy = type(self)(self.name)
         children_arr = self._children
         mapping = [-1] * len(children_arr)  # node -> signal in copy
         mapping[0] = CONST0
@@ -907,9 +771,9 @@ class Mig:
         would *not* do — renumbering re-sorts child triples, which
         reorders the next PO-driven traversal — but the double image is
         a fixpoint, so ``compact`` is idempotent on content.  The
-        optimizers call this after :meth:`rollback` wherever the legacy
-        clone-based engine renumbered state via ``copy_from``, keeping
-        the two engines bit-identical.
+        optimizers call this after every rejecting :meth:`rollback`, so
+        the restored state is the same as a snapshot restore by
+        ``copy_from`` would give.
         """
         self.compactions += 1
         self.copy_from(self.clone())
@@ -954,10 +818,10 @@ class Mig:
         and logs the inverse structural event, so attached views
         delta-update instead of recomputing.  Dict *insertion order*
         (fanout, strash) is not restored — only content — which is why
-        the optimizer call sites follow a rollback with
-        :meth:`compact` wherever the legacy engine renumbered state
+        the optimizer call sites follow a rollback with :meth:`compact`
         (``clone`` never reads those dicts, so the compacted result is
-        bit-identical to the legacy one).  ``generation`` keeps rising.
+        bit-identical to a snapshot restore).  ``generation`` keeps
+        rising.
         """
         if token != len(self._tx_stack) - 1:
             raise MigError(
@@ -1144,14 +1008,3 @@ class Mig:
             f"gates={self.num_gates()})"
         )
 
-
-class ObjectMig(Mig):
-    """The legacy pure-object storage engine (tuples/dicts/lists only).
-
-    Kept alive for one release as the bit-identity oracle for the slab
-    engine (``REPRO_GRAPH=object``, the fuzz harness ``graph-diff``
-    mode, the CI engine-identity smoke).  All behavior lives in the
-    :class:`Mig` base; this class only pins the dispatch.
-    """
-
-    __slots__ = ()

@@ -1,24 +1,21 @@
 """Typed store over the ``BENCH_runtime.json`` perf ledger.
 
-Every PR since the CostView rewrite has *appended* to the ledger —
-``bench`` entries, perf-guard verdicts, scale-tier counters — but
-nothing consumed it analytically: ``perf_guard.py`` compared one
-wall-clock against a hand-set budget and the deterministic counters
-went unwatched.  This module is the read side:
+The ledger is append-only: ``bench`` entries, gate verdicts and
+scale-tier counters.  This module is the read side:
 
 * :func:`load_ledger` — parse the ledger into a :class:`Ledger`,
   collapsing byte-identical historical entries (re-running a bench
   twice on an unchanged tree must not skew the noise statistics);
 * :class:`BaselineKey` / :meth:`Ledger.query` /
   :meth:`Ledger.baseline` — baseline selection keyed by the fields
-  that actually partition the numbers (``kind``, ``graph_engine``,
-  ``effort``, ``machine``, ``jobs``);
+  that actually partition the numbers (``kind``, ``effort``,
+  ``machine``, ``jobs``);
 * :func:`noise_band` — rolling-window median + MAD over historical
   wall-clocks, the robust statistics the wall-drift tier compares
   against;
 * :func:`counter_drift` — exact comparison of the deterministic
   counter families (``moves_tried``, ``events_replayed``,
-  ``strash_*``, ``batch_*``, ...).  These are machine-independent, so
+  ``strash_*``, ...).  These are machine-independent, so
   *any* unexplained change is algorithmic drift, not noise.
 
 The write side stays where it always was
@@ -37,9 +34,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 #: Version stamped into every new bench-ledger entry.  Version 1 is the
-#: PR 9 normalized schema (``kind``/``seconds``/``effort``/
-#: ``graph_engine``, no explicit marker); version 2 adds the marker
-#: itself.  ``trace-report --validate`` accepts both.
+#: normalized schema (``kind``/``seconds``/``effort``, no explicit
+#: marker); version 2 adds the marker itself.  ``trace-report
+#: --validate`` accepts both.  Historical entries may carry fields
+#: later versions dropped (a storage-engine name); readers ignore them.
 BENCH_SCHEMA_VERSION = 2
 
 #: Ledger entry schema versions ``validate_bench_ledger`` accepts.
@@ -47,8 +45,8 @@ ACCEPTED_BENCH_SCHEMA_VERSIONS = (1, BENCH_SCHEMA_VERSION)
 
 #: Counter families that are pure functions of the algorithm and its
 #: inputs — independent of machine speed, load, and wall-clock.  Any
-#: change against a baseline measured at the same (kind, graph_engine,
-#: effort) key is algorithmic drift and fails the counter tier of the
+#: change against a baseline measured at the same (kind, effort) key
+#: is algorithmic drift and fails the counter tier of the
 #: regression gate exactly; there is no noise band to hide in.
 DETERMINISTIC_COUNTER_KEYS = (
     # Optimizer move accounting.
@@ -67,12 +65,7 @@ DETERMINISTIC_COUNTER_KEYS = (
     "tx_checkpoints",
     "tx_rollbacks",
     "tx_undo_replayed",
-    # Batched trial evaluation (the REPRO_BATCH=0 tripwire).
-    "batch_score_calls",
-    "batch_candidates_scored",
-    "batch_group_calls",
-    "batch_strash_probes",
-    # Storage-engine occupancy (deterministic per engine).
+    # Node allocation.
     "nodes_allocated",
     "compactions",
 )
@@ -126,9 +119,8 @@ class NoiseBand:
         slack·median).
 
         The MAD term is the statistical band; the relative ``slack``
-        floor absorbs reference-box vs CI-runner speed differences the
-        same way ``perf_guard.py --max-ratio`` used to (slack 2.0 ==
-        the old 3× budget), so a sparsely populated ledger does not
+        floor absorbs reference-box vs CI-runner speed differences
+        (slack 2.0 == a 3× budget), so a sparsely populated ledger does not
         produce a zero-width band that fails every other machine.
         """
         return self.median + max(MAD_K * MAD_SIGMA * self.mad,
@@ -173,7 +165,6 @@ class BaselineKey:
     """
 
     kind: str
-    graph_engine: Any = ANY
     effort: Any = ANY
     machine: Any = ANY
     jobs: Any = ANY
@@ -181,7 +172,7 @@ class BaselineKey:
     def matches(self, entry: Mapping[str, Any]) -> bool:
         if entry.get("kind") != self.kind:
             return False
-        for field_name in ("graph_engine", "effort", "machine", "jobs"):
+        for field_name in ("effort", "machine", "jobs"):
             wanted = getattr(self, field_name)
             if wanted is not ANY and entry.get(field_name) != wanted:
                 return False
@@ -189,7 +180,7 @@ class BaselineKey:
 
     def describe(self) -> str:
         parts = [f"kind={self.kind}"]
-        for field_name in ("graph_engine", "effort", "machine", "jobs"):
+        for field_name in ("effort", "machine", "jobs"):
             wanted = getattr(self, field_name)
             if wanted is not ANY:
                 parts.append(f"{field_name}={wanted}")

@@ -7,25 +7,20 @@ Consumes the :mod:`repro.telemetry.ledger` read side analytically:
   against ledger baselines with **two tiers**:
 
   - *counter tier*: the deterministic counter families
-    (``moves_tried``, ``events_replayed``, ``strash_*``, ``batch_*``,
+    (``moves_tried``, ``events_replayed``, ``strash_*``, ...,
     plus the R/S cost results themselves) compared **exactly** against
-    the latest baseline at the same (kind, graph_engine, effort) key.
+    the latest baseline at the same (kind, effort) key.
     These are machine-independent; any unexplained change is
     algorithmic drift and fails the gate outright.
   - *wall tier*: wall-clock compared against the rolling-window
     median + MAD noise band of the historical series (same key plus
-    ``machine``/``jobs``), replacing ``perf_guard.py``'s hand-set
-    budgets.  Only a run outside the band fails.
+    ``machine``/``jobs``).  Only a run outside the band fails.
 
 * :func:`build_report` / :func:`render_report` /
   :func:`render_report_html` — the per-benchmark perf-trajectory
   dashboard ``repro-synth obs report [--html]`` prints: sparkline
-  tables per kind/engine/effort series, latest-vs-baseline deltas,
-  and slab occupancy gauges.
-
-* :func:`derive_scale_budget` — the ledger-derived wall budget
-  ``benchmarks/perf_guard.py --scale`` now uses when no explicit
-  ``--scale-budget`` is given.
+  tables per kind/effort series, latest-vs-baseline deltas, and the
+  node-allocation gauges (nodes allocated, compactions).
 
 The CLI wiring lives in ``repro.cli`` (``repro-synth obs gate`` /
 ``obs report``); CI runs the gate on every push (counter tier on the
@@ -150,20 +145,18 @@ def gate_table2(
     """Run the whole-set Table II flow and gate it against the ledger.
 
     The counter tier compares the merged CostView profile exactly
-    against the latest ``kind=table2`` baseline at the same
-    (graph_engine, effort); the wall tier compares the wall-clock
+    against the latest ``kind=table2`` baseline at the same effort;
+    the wall tier compares the wall-clock
     against the noise band of the matching series (machine/jobs keyed).
     """
     from ..flows.bench import bench_table2
-    from ..mig import graph_engine_name
 
     outcome = GateOutcome(what="table2")
     entry = bench_table2(None, effort=effort, jobs=jobs)
     outcome.entry = entry
-    engine = graph_engine_name()
 
     if "counters" in tiers:
-        key = BaselineKey("table2", graph_engine=engine, effort=effort)
+        key = BaselineKey("table2", effort=effort)
         baseline = ledger.baseline(key)
         if baseline is None:
             outcome.findings.append(
@@ -204,7 +197,6 @@ def gate_table2(
     if "wall" in tiers:
         wall_key = BaselineKey(
             "table2",
-            graph_engine=engine,
             effort=effort,
             machine=entry.get("machine", ANY),
             jobs=jobs,
@@ -223,7 +215,7 @@ def gate_table2(
 
 
 # ----------------------------------------------------------------------
-# Gate: scale tier (wall tier's home + the batch tripwire)
+# Gate: scale tier (wall tier's home)
 # ----------------------------------------------------------------------
 
 
@@ -241,13 +233,12 @@ def _scale_baseline_cell(
     ledger: Ledger,
     name: str,
     *,
-    engine: Any,
     effort: Any,
     require_counters: bool,
 ) -> Optional[Mapping[str, Any]]:
     """Latest scale entry carrying ``name`` (and, when asked, its
     per-realization counters — early entries predate them)."""
-    key = BaselineKey("scale", graph_engine=engine, effort=effort)
+    key = BaselineKey("scale", effort=effort)
     for entry in reversed(ledger.query(key)):
         cell = (entry.get("benchmarks") or {}).get(name)
         if not isinstance(cell, Mapping):
@@ -273,24 +264,21 @@ def gate_scale(
 ) -> GateOutcome:
     """Run the scale-tier flow and gate it against the ledger.
 
-    Counter tier: per benchmark and realization, the optimizer/batch
-    counters **and** the R/S results compared exactly (this is the
-    tripwire that catches a silently disabled batch path:
-    ``batch_score_calls`` drops 1 -> 0 under ``REPRO_BATCH=0``).
+    Counter tier: per benchmark and realization, the optimizer
+    counters (``moves_tried``, ``predicted_skips``) **and** the R/S
+    results compared exactly.
     Wall tier: per-benchmark build+optimize seconds against the noise
     band of the same benchmark's historical series.
     """
     from ..flows.bench import bench_scale
-    from ..mig import graph_engine_name
 
     outcome = GateOutcome(what="scale")
     entry = bench_scale(list(names) if names else None, effort=effort)
     outcome.entry = entry
-    engine = graph_engine_name()
 
     for name, cell in entry["benchmarks"].items():
         baseline_cell = _scale_baseline_cell(
-            ledger, name, engine=engine, effort=effort,
+            ledger, name, effort=effort,
             require_counters="counters" in tiers,
         )
         if baseline_cell is None:
@@ -352,7 +340,6 @@ def gate_scale(
             series = []
             key = BaselineKey(
                 "scale",
-                graph_engine=engine,
                 effort=effort,
                 machine=entry.get("machine", ANY),
             )
@@ -398,14 +385,11 @@ def gate_entry(
     outcomes: Sequence[GateOutcome], *, seconds: float, effort: int
 ) -> Dict[str, Any]:
     """The machine-readable ``obs-gate`` ledger entry for one run."""
-    from ..mig import graph_engine_name
-
     return {
         "kind": "obs-gate",
         "schema_version": BENCH_SCHEMA_VERSION,
         "seconds": round(seconds, 3),
         "effort": effort,
-        "graph_engine": graph_engine_name(),
         "passed": all(outcome.passed for outcome in outcomes),
         "gates": {
             outcome.what: {
@@ -418,49 +402,6 @@ def gate_entry(
             for outcome in outcomes
         },
     }
-
-
-# ----------------------------------------------------------------------
-# Ledger-derived budgets (perf_guard integration)
-# ----------------------------------------------------------------------
-
-
-def derive_scale_budget(
-    ledger: Ledger,
-    benchmark: str,
-    *,
-    window: int = 8,
-    slack: float = 2.0,
-    floor: float = 60.0,
-    fallback: float = 300.0,
-) -> float:
-    """The wall budget ``perf_guard.py --scale`` uses when no explicit
-    ``--scale-budget`` is given: the noise-band upper bound of the
-    benchmark's historical build+optimize series (any effort/engine —
-    the guard's budget only needs the right order of magnitude), or
-    ``fallback`` when the ledger has no such history.
-
-    ``floor`` keeps the budget from collapsing on sub-second flows: the
-    guard is a gross-complexity tripwire running on shared CI runners,
-    and 3x a one-second reference timing is indistinguishable from
-    scheduler noise there.  The fine-grained wall check is the
-    observatory gate's noise band, which is machine-keyed."""
-    series: List[float] = []
-    for kind in ("scale", "perf-guard-scale"):
-        for entry in ledger.query(BaselineKey(kind)):
-            if kind == "perf-guard-scale":
-                if entry.get("benchmark") == benchmark and isinstance(
-                    entry.get("scale_seconds"), (int, float)
-                ):
-                    series.append(float(entry["scale_seconds"]))
-                continue
-            cell = (entry.get("benchmarks") or {}).get(benchmark)
-            if isinstance(cell, Mapping):
-                series.append(scale_cell_seconds(cell))
-    band = noise_band(series, window=window)
-    if band is None:
-        return fallback
-    return max(band.upper(slack), floor)
 
 
 # ----------------------------------------------------------------------
@@ -491,10 +432,9 @@ def sparkline(values: Sequence[float]) -> str:
 
 @dataclass
 class SeriesRow:
-    """One (kind, graph_engine, effort) wall-clock series."""
+    """One (kind, effort) wall-clock series."""
 
     kind: str
-    graph_engine: Any
     effort: Any
     seconds: List[float]
     band: Optional[NoiseBand]
@@ -518,30 +458,25 @@ class ObservatoryReport:
     entry_count: int
     duplicates_dropped: int
     series: List[SeriesRow]
-    occupancy: Dict[str, Any]
+    allocation: Dict[str, Any]
     scale_cells: Dict[str, Dict[str, Any]]
 
 
 def build_report(ledger: Ledger, *, window: int = 8) -> ObservatoryReport:
     """Aggregate the ledger into the dashboard's row model."""
-    groups: Dict[Tuple[Any, Any, Any], List[float]] = {}
+    groups: Dict[Tuple[Any, Any], List[float]] = {}
     for entry in ledger.entries:
         seconds = entry.get("seconds")
         if not isinstance(seconds, (int, float)) or isinstance(
             seconds, bool
         ):
             continue
-        group = (
-            entry.get("kind", "?"),
-            entry.get("graph_engine"),
-            entry.get("effort"),
-        )
+        group = (entry.get("kind", "?"), entry.get("effort"))
         groups.setdefault(group, []).append(float(seconds))
 
     series = [
         SeriesRow(
             kind=kind,
-            graph_engine=engine,
             effort=effort,
             seconds=values,
             # The band excludes the latest point: it is what the latest
@@ -552,30 +487,22 @@ def build_report(ledger: Ledger, *, window: int = 8) -> ObservatoryReport:
                 else noise_band(values[:-1], window=window)
             ),
         )
-        for (kind, engine, effort), values in sorted(
+        for (kind, effort), values in sorted(
             groups.items(), key=lambda item: (str(item[0][0]),
-                                              str(item[0][1]),
-                                              str(item[0][2]))
+                                              str(item[0][1]))
         )
     ]
 
-    # Slab occupancy gauges from the latest profile-carrying entry.
-    occupancy: Dict[str, Any] = {}
+    # Node-allocation gauges from the latest profile-carrying entry.
+    allocation: Dict[str, Any] = {}
     for entry in reversed(ledger.entries):
         profile = entry.get("profile")
         if isinstance(profile, Mapping) and "nodes_allocated" in profile:
-            occupancy = {
+            allocation = {
                 "kind": entry.get("kind"),
-                "graph_engine": entry.get("graph_engine"),
                 "nodes_allocated": profile.get("nodes_allocated"),
-                "slab_capacity": profile.get("slab_capacity"),
                 "compactions": profile.get("compactions"),
             }
-            capacity = profile.get("slab_capacity") or 0
-            if capacity:
-                occupancy["occupancy"] = (
-                    float(profile["nodes_allocated"]) / float(capacity)
-                )
             break
 
     # Latest scale cells (per-benchmark R/S + counters).
@@ -606,14 +533,14 @@ def build_report(ledger: Ledger, *, window: int = 8) -> ObservatoryReport:
         entry_count=len(ledger.entries),
         duplicates_dropped=ledger.duplicates_dropped,
         series=series,
-        occupancy=occupancy,
+        allocation=allocation,
         scale_cells=dict(sorted(scale_cells.items())),
     )
 
 
 def _series_cells(row: SeriesRow) -> Tuple[str, str, str, str, str]:
     """(key, n, sparkline, latest, delta) display cells for one row."""
-    key = f"{row.kind}/{row.graph_engine}/effort={row.effort}"
+    key = f"{row.kind}/effort={row.effort}"
     delta = row.delta_vs_median
     delta_text = "-" if delta is None else f"{delta:+.1%}"
     return (
@@ -652,25 +579,17 @@ def render_report(report: ObservatoryReport) -> str:
                 f"  {key:<{key_width}s}  {count:>3s}  {spark:<10s}  "
                 f"{latest:>10s}  {delta:>9s}"
             )
-    if report.occupancy:
+    if report.allocation:
         lines.append("")
         lines.append(
-            f"slab occupancy (latest {report.occupancy.get('kind')} entry, "
-            f"{report.occupancy.get('graph_engine')} engine):"
+            f"node allocation (latest {report.allocation.get('kind')} "
+            "entry):"
         )
         lines.append(
-            f"  nodes_allocated : {report.occupancy.get('nodes_allocated')}"
+            f"  nodes_allocated : {report.allocation.get('nodes_allocated')}"
         )
         lines.append(
-            f"  slab_capacity   : {report.occupancy.get('slab_capacity')}"
-            + (
-                f" ({report.occupancy['occupancy']:.1%} occupied)"
-                if "occupancy" in report.occupancy
-                else ""
-            )
-        )
-        lines.append(
-            f"  compactions     : {report.occupancy.get('compactions')}"
+            f"  compactions     : {report.allocation.get('compactions')}"
         )
     if report.scale_cells:
         lines.append("")
@@ -700,9 +619,9 @@ def render_report_html(report: ObservatoryReport) -> str:
         )
         for row in report.series
     )
-    occupancy_rows = "\n".join(
+    allocation_rows = "\n".join(
         f"<tr><td>{esc(key)}</td><td class='num'>{esc(value)}</td></tr>"
-        for key, value in report.occupancy.items()
+        for key, value in report.allocation.items()
     )
     scale_rows = "\n".join(
         "<tr><td>{}</td><td class='num'>{}</td><td class='num'>{}</td>"
@@ -742,13 +661,13 @@ p.meta {{ color: #555; }}
 {report.duplicates_dropped} byte-identical duplicates collapsed.</p>
 <h2>Wall-clock series</h2>
 <table>
-<tr><th>series (kind/engine/effort)</th><th>n</th><th>trend</th>
+<tr><th>series (kind/effort)</th><th>n</th><th>trend</th>
 <th>latest</th><th>vs median</th></tr>
 {series_rows}
 </table>
-<h2>Slab occupancy</h2>
+<h2>Node allocation</h2>
 <table>
-{occupancy_rows or '<tr><td>no occupancy gauges recorded</td></tr>'}
+{allocation_rows or '<tr><td>no allocation gauges recorded</td></tr>'}
 </table>
 <h2>Scale tier (latest per benchmark)</h2>
 <table>

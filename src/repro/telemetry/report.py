@@ -106,7 +106,7 @@ def validate_trace(records: Iterable[Any]) -> List[str]:
 #: normalized schema ``repro.flows.bench`` stamps via ``_entry_common``
 #: (``effort`` may be None for flows without the knob, but the key must
 #: exist so entries stay diffable/comparable across kinds).
-BENCH_ENTRY_REQUIRED_KEYS = ("kind", "seconds", "effort", "graph_engine")
+BENCH_ENTRY_REQUIRED_KEYS = ("kind", "seconds", "effort")
 
 
 def load_bench_ledger(path: str) -> Optional[Dict[str, Any]]:

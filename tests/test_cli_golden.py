@@ -162,41 +162,3 @@ class TestReport:
         assert "SUM" in table2
         table3 = (out_dir / "table3_full.txt").read_text()
         assert "largest-function ratio" in table3
-
-
-class TestGraphEngineGolden:
-    """The ``REPRO_GRAPH`` switch must be output-invisible: the slab
-    and object storage engines print byte-identical synth/table2 text,
-    and an unknown engine name is a usage error (exit 2), not a crash.
-    """
-
-    def _run(self, argv, capsys, monkeypatch, engine):
-        monkeypatch.setenv("REPRO_GRAPH", engine)
-        assert main(argv) == 0
-        return capsys.readouterr().out
-
-    def test_synth_byte_identical_across_engines(self, capsys, monkeypatch):
-        argv = ["synth", "cm162a", "--effort", "2", "--verify"]
-        object_out = self._run(argv, capsys, monkeypatch, "object")
-        slab_out = self._run(argv, capsys, monkeypatch, "slab")
-
-        def stable(text):
-            # Everything except the wall-clock line is deterministic.
-            return [
-                line
-                for line in text.splitlines()
-                if not line.startswith("runtime")
-            ]
-
-        assert stable(object_out) == stable(slab_out)
-
-    def test_table2_byte_identical_across_engines(self, capsys, monkeypatch):
-        argv = ["table2", "cm162a", "b9", "--effort", "2"]
-        object_out = self._run(argv, capsys, monkeypatch, "object")
-        slab_out = self._run(argv, capsys, monkeypatch, "slab")
-        assert object_out == slab_out
-
-    def test_unknown_engine_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "mmap")
-        assert main(["bench-list"]) == 2
-        assert "repro-synth: error:" in capsys.readouterr().err

@@ -97,11 +97,11 @@ class TestTraceCompare:
 def synthetic_ledger(tmp_path):
     entries = [
         {
-            "kind": "table2", "graph_engine": "slab", "effort": 10,
+            "kind": "table2", "effort": 10,
             "seconds": 60.0 + i, "jobs": 1,
             "schema_version": 2,
             "profile": {"moves_tried": 1000, "nodes_allocated": 500,
-                        "slab_capacity": 1000, "compactions": 2},
+                        "compactions": 2},
         }
         for i in range(3)
     ]
@@ -115,8 +115,8 @@ class TestObsReport:
         assert main(["obs", "report", "--ledger",
                      str(synthetic_ledger)]) == 0
         out = capsys.readouterr().out
-        assert "table2/slab/effort=10" in out
-        assert "slab occupancy" in out
+        assert "table2/effort=10" in out
+        assert "node allocation" in out
 
     def test_html_report(self, synthetic_ledger, tmp_path, capsys):
         html = tmp_path / "report.html"
@@ -124,7 +124,7 @@ class TestObsReport:
                      "--html", str(html)]) == 0
         text = html.read_text()
         assert text.startswith("<!DOCTYPE html>")
-        assert "table2/slab/effort=10" in text
+        assert "table2/effort=10" in text
 
     def test_missing_ledger_exits_2(self, tmp_path, capsys):
         assert main(["obs", "report", "--ledger",
@@ -132,7 +132,7 @@ class TestObsReport:
         assert "no such ledger file" in capsys.readouterr().err
 
     def test_duplicate_entries_surface_in_report(self, tmp_path, capsys):
-        entry = {"kind": "table2", "graph_engine": "slab", "effort": 10,
+        entry = {"kind": "table2", "effort": 10,
                  "seconds": 60.0}
         path = tmp_path / "dup.json"
         path.write_text(json.dumps({"entries": [entry, dict(entry)]}))
@@ -158,10 +158,8 @@ class TestLedgerValidateCli:
     def test_validate_accepts_both_schema_versions(self, tmp_path, capsys):
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps({"entries": [
-            {"kind": "a", "seconds": 1.0, "effort": None,
-             "graph_engine": "slab"},
-            {"kind": "b", "seconds": 1.0, "effort": 2,
-             "graph_engine": "slab", "schema_version": 2},
+            {"kind": "a", "seconds": 1.0, "effort": None},
+            {"kind": "b", "seconds": 1.0, "effort": 2, "schema_version": 2},
         ]}))
         assert main(["trace-report", str(path), "--validate"]) == 0
         assert "schema       : OK" in capsys.readouterr().out
@@ -172,7 +170,7 @@ class TestLedgerValidateCli:
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps({"entries": [
             {"kind": "a", "seconds": 1.0, "effort": None,
-             "graph_engine": "slab", "schema_version": 99},
+             "schema_version": 99},
         ]}))
         assert main(["trace-report", str(path), "--validate"]) == 1
         assert "unsupported schema_version 99" in capsys.readouterr().err

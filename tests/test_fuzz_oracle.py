@@ -63,6 +63,39 @@ class TestPlantedBugs:
         assert failure.describe()["detail"]
 
 
+class TestTxAudit:
+    def test_rollback_skipping_an_undo_record_is_caught(self, monkeypatch):
+        """A rollback that forgets one undo record must trip the
+        ``tx-audit`` check, which names the state it left wrong."""
+        rollback = Mig.rollback
+
+        def skipping_rollback(mig, token):
+            # Drop the newest PO write or attach/detach of a node that
+            # existed before the checkpoint (dropping records of nodes
+            # allocated inside it would crash the replay instead).
+            mark = mig._tx_stack[token]
+            fresh = {r[1] for r in mig._undo[mark:] if r[0] == "n"}
+            for i in range(len(mig._undo) - 1, mark - 1, -1):
+                record = mig._undo[i]
+                if record[0] == "p" or (
+                    record[0] in ("a", "d") and record[1] not in fresh
+                ):
+                    del mig._undo[i]
+                    break
+            rollback(mig, token)
+
+        monkeypatch.setattr(Mig, "rollback", skipping_rollback)
+        netlist, mig = case_circuit("gates", 7)
+        failure = check_case(netlist, mig, effort=3, checks=["tx-audit"])
+        assert failure is not None
+        assert failure.check == "tx-audit"
+        assert "rollback of checkpoint" in failure.detail
+        assert "different from the checkpoint" in failure.detail
+
+    def test_checks_registered(self):
+        assert "tx-audit" in CHECKS
+
+
 class TestCrossbarChecks:
     def test_crossbar_checks_registered(self):
         assert "crossbar-imp" in CHECKS

@@ -3,8 +3,9 @@
 The undo journal must restore graph content *exactly* (children,
 fanout, strash, POs) under arbitrary interleavings of mutations with
 nested checkpoint/commit/rollback, keep an attached CostView
-consistent, and — switched against the legacy clone-based engine —
-leave every optimizer flow bit-identical.  The NPN recipe cache behind
+consistent, and — audited against whole-graph snapshots by the fuzz
+oracle's ``tx_audit`` — restore every checkpoint the optimizers roll
+back to.  The NPN recipe cache behind
 ``synthesize_table`` is pinned to the packed simulation kernels.
 """
 
@@ -19,13 +20,15 @@ from repro.mig import (
     Mig,
     MigError,
     Realization,
+    optimize_area,
+    optimize_depth,
     optimize_rram,
     optimize_steps,
     signal_not,
     synthesize_table,
-    transaction_engine,
-    transactions_enabled,
 )
+from repro.fuzz.oracle import graph_content as capture
+from repro.fuzz.oracle import tx_audit
 from repro.mig.rewrite import apply_inverter_propagation
 from repro.sim import iter_assignment_chunks, simulate_mig_slices
 from repro.truth import TruthTable
@@ -49,24 +52,6 @@ def build_random_mig(seed: int, num_pis: int = 4, num_gates: int = 10) -> Mig:
             s = signal_not(s)
         mig.add_po(s)
     return mig
-
-
-def capture(mig: Mig):
-    """Content snapshot of every piece of mutable graph state.
-
-    Fanout/strash are compared as dicts (content, not insertion order:
-    rollback restores content only, and nothing bit-identity-relevant
-    reads their order — ``clone`` included)."""
-    return (
-        list(mig._children),
-        list(mig._is_pi),
-        [dict(counts) for counts in mig._fanout],
-        list(mig._pis),
-        list(mig._pi_names),
-        list(mig._pos),
-        list(mig._po_names),
-        dict(mig._strash),
-    )
 
 
 def random_mutation(mig: Mig, rng: random.Random) -> None:
@@ -239,37 +224,40 @@ class TestCompact:
         assert mig.truth_tables() == tables
 
 
+_OPTIMIZERS = {
+    "area": lambda mig, realization: optimize_area(mig, effort=4),
+    "depth": lambda mig, realization: optimize_depth(mig, effort=4),
+    "rram": lambda mig, realization: optimize_rram(mig, realization, 4),
+    "steps": lambda mig, realization: optimize_steps(mig, realization, 4),
+}
+
+
 class TestEngineEquivalence:
+    """The undo journal against its whole-graph-copy reference."""
+
     @given(
         st.integers(0, 10_000),
-        st.sampled_from(["steps", "rram"]),
+        st.sampled_from(sorted(_OPTIMIZERS)),
         st.sampled_from(list(Realization)),
     )
-    @settings(max_examples=12, deadline=None)
-    def test_optimizers_bit_identical_between_engines(
-        self, seed, flow, realization
-    ):
-        run = optimize_steps if flow == "steps" else optimize_rram
-        with transaction_engine(True):
-            mig_tx = build_random_mig(seed, num_pis=5, num_gates=14)
-            result_tx = run(mig_tx, realization, effort=4)
-        with transaction_engine(False):
-            mig_legacy = build_random_mig(seed, num_pis=5, num_gates=14)
-            result_legacy = run(mig_legacy, realization, effort=4)
-        assert mig_tx._children == mig_legacy._children
-        assert mig_tx._pos == mig_legacy._pos
-        assert result_tx.final_size == result_legacy.final_size
-        assert result_tx.final_depth == result_legacy.final_depth
-        assert result_tx.history == result_legacy.history
+    @settings(max_examples=16, deadline=None)
+    def test_optimizers_under_tx_audit(self, seed, flow, realization):
+        """Every rollback an optimizer makes restores its checkpoint
+        exactly (``tx_audit`` raises otherwise), and the result keeps
+        the function and the structural invariants."""
+        mig = build_random_mig(seed, num_pis=5, num_gates=14)
+        tables = mig.truth_tables()
+        with tx_audit():
+            _OPTIMIZERS[flow](mig, realization)
+        assert not mig.in_transaction
+        mig.check_invariants()
+        assert mig.truth_tables() == tables
 
-    def test_switch_scoping(self):
-        default = transactions_enabled()
-        with transaction_engine(False):
-            assert not transactions_enabled()
-            with transaction_engine(True):
-                assert transactions_enabled()
-            assert not transactions_enabled()
-        assert transactions_enabled() == default
+    def test_tx_audit_restores_the_methods(self):
+        methods = (Mig.checkpoint, Mig.commit, Mig.rollback)
+        with tx_audit():
+            assert Mig.rollback is not methods[2]
+        assert (Mig.checkpoint, Mig.commit, Mig.rollback) == methods
 
     def test_profile_reports_transaction_counters(self):
         mig = build_random_mig(21, num_pis=5, num_gates=14)
@@ -283,8 +271,7 @@ class TestEngineEquivalence:
             "strash_misses",
         ):
             assert key in result.profile
-        if transactions_enabled():
-            assert result.profile["tx_checkpoints"] > 0
+        assert result.profile["tx_checkpoints"] > 0
 
 
 class TestStrashAndNpnCache:

@@ -32,7 +32,6 @@ from repro.telemetry import (
 from repro.telemetry.ledger import MAD_K, MAD_SIGMA, mad, median
 from repro.telemetry.observatory import (
     build_report,
-    derive_scale_budget,
     render_report,
     render_report_html,
     scale_cell_seconds,
@@ -109,8 +108,7 @@ class TestNoiseBand:
         )
     )
     def test_slack_floor_dominates_sparse_history(self, values):
-        """With slack 2.0 the limit is always >= 3x the median, matching
-        the perf_guard --max-ratio=3 budget it replaces."""
+        """With slack 2.0 the limit is always >= 3x the median."""
         band = noise_band(values)
         assert band.upper(2.0) >= 3.0 * band.median or band.median == 0
 
@@ -149,20 +147,21 @@ def _ledger(entries, path="synthetic.json"):
 
 class TestBaselineSelection:
     entries = [
-        {"kind": "table2", "graph_engine": "object", "effort": 10,
+        {"kind": "table2", "effort": 10, "jobs": 1,
          "seconds": 50.0, "profile": {"moves_tried": 1}},
-        {"kind": "table2", "graph_engine": "slab", "effort": 10,
+        {"kind": "table2", "effort": 10, "jobs": 4,
          "seconds": 60.0, "profile": {"moves_tried": 2}},
-        {"kind": "table2", "graph_engine": "slab", "effort": 10,
+        {"kind": "table2", "effort": 10, "jobs": 4,
          "seconds": 61.0, "profile": {"moves_tried": 3}},
-        {"kind": "scale", "graph_engine": "slab", "effort": 10,
-         "seconds": 70.0},
+        {"kind": "scale", "effort": 10, "seconds": 70.0},
     ]
 
     def test_latest_matching_entry_wins(self):
         ledger = _ledger(self.entries)
-        key = BaselineKey("table2", graph_engine="slab", effort=10)
+        key = BaselineKey("table2", effort=10, jobs=4)
         assert ledger.baseline(key)["profile"]["moves_tried"] == 3
+        key = BaselineKey("table2", effort=10, jobs=1)
+        assert ledger.baseline(key)["profile"]["moves_tried"] == 1
 
     def test_kind_always_filters(self):
         ledger = _ledger(self.entries)
@@ -200,7 +199,7 @@ class TestBaselineSelection:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["slab", "object"]),
+                st.sampled_from(["x86_64", "arm64"]),
                 st.integers(min_value=1, max_value=3),
                 finite_seconds,
             ),
@@ -211,15 +210,15 @@ class TestBaselineSelection:
     @settings(max_examples=50)
     def test_baseline_is_last_match_property(self, rows):
         entries = [
-            {"kind": "bench", "graph_engine": engine, "effort": effort,
+            {"kind": "bench", "machine": machine, "effort": effort,
              "seconds": seconds, "index": index}
-            for index, (engine, effort, seconds) in enumerate(rows)
+            for index, (machine, effort, seconds) in enumerate(rows)
         ]
         ledger = _ledger(entries)
-        for engine in ("slab", "object"):
-            key = BaselineKey("bench", graph_engine=engine)
+        for machine in ("x86_64", "arm64"):
+            key = BaselineKey("bench", machine=machine)
             expected = [e for e in ledger.entries
-                        if e["graph_engine"] == engine]
+                        if e["machine"] == machine]
             baseline = ledger.baseline(key)
             if expected:
                 assert baseline is expected[-1]
@@ -239,12 +238,12 @@ class TestCounterDrift:
 
     def test_any_change_is_drift(self):
         drifts = counter_drift(
-            {"moves_tried": 100, "batch_score_calls": 1},
-            {"moves_tried": 100, "batch_score_calls": 0},
+            {"moves_tried": 100, "predicted_skips": 1},
+            {"moves_tried": 100, "predicted_skips": 0},
         )
-        assert [d.name for d in drifts] == ["batch_score_calls"]
+        assert [d.name for d in drifts] == ["predicted_skips"]
         assert drifts[0].baseline == 1 and drifts[0].current == 0
-        assert "batch_score_calls" in drifts[0].describe()
+        assert "predicted_skips" in drifts[0].describe()
 
     def test_missing_current_key_is_drift(self):
         drifts = counter_drift({"strash_hits": 7}, {})
@@ -264,14 +263,14 @@ class TestCounterDrift:
         st.dictionaries(
             st.sampled_from(
                 ["moves_tried", "events_replayed", "strash_hits",
-                 "batch_score_calls"]
+                 "predicted_skips"]
             ),
             st.integers(min_value=0, max_value=10**9),
             max_size=4,
         ),
         st.sampled_from(
             ["moves_tried", "events_replayed", "strash_hits",
-             "batch_score_calls"]
+             "predicted_skips"]
         ),
         st.integers(min_value=1, max_value=100),
     )
@@ -292,8 +291,7 @@ class TestCounterDrift:
 
 class TestDedupeAndSchema:
     def test_byte_identical_entries_collapse(self):
-        entry = {"kind": "table2", "seconds": 1.0, "effort": 10,
-                 "graph_engine": "slab"}
+        entry = {"kind": "table2", "seconds": 1.0, "effort": 10}
         kept, dropped = dedupe_entries([entry, dict(entry), dict(entry)])
         assert len(kept) == 1 and dropped == 2
 
@@ -309,8 +307,7 @@ class TestDedupeAndSchema:
         assert kept == entries and dropped == 0
 
     def test_load_ledger_collapses_duplicates(self, tmp_path):
-        entry = {"kind": "table2", "seconds": 2.0, "effort": 10,
-                 "graph_engine": "slab"}
+        entry = {"kind": "table2", "seconds": 2.0, "effort": 10}
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps({"entries": [entry, dict(entry)]}))
         ledger = load_ledger(str(path))
@@ -337,15 +334,14 @@ class TestDedupeAndSchema:
             load_ledger(str(path))
 
     def test_both_schema_versions_validate(self):
-        base = {"kind": "k", "seconds": 1.0, "effort": None,
-                "graph_engine": "slab"}
+        base = {"kind": "k", "seconds": 1.0, "effort": None}
         versioned = {**base, "schema_version": BENCH_SCHEMA_VERSION}
         data = {"entries": [base, versioned]}
         assert validate_bench_ledger(data) == []
 
     def test_unknown_schema_version_rejected(self):
         entry = {"kind": "k", "seconds": 1.0, "effort": None,
-                 "graph_engine": "slab", "schema_version": 99}
+                 "schema_version": 99}
         errors = validate_bench_ledger({"entries": [entry]})
         assert any("schema_version" in error for error in errors)
         assert 99 not in ACCEPTED_BENCH_SCHEMA_VERSIONS
@@ -357,7 +353,7 @@ class TestDedupeAndSchema:
 
 
 # ----------------------------------------------------------------------
-# Observatory report + budgets
+# Observatory report
 # ----------------------------------------------------------------------
 
 
@@ -365,9 +361,9 @@ SCALE_CELL = {
     "gates": 1000,
     "build_seconds": 1.0,
     "imp": {"optimize_seconds": 2.0, "rrams": 10, "steps": 20,
-            "counters": {"batch_score_calls": 1}},
+            "counters": {"predicted_skips": 1}},
     "maj": {"optimize_seconds": 3.0, "rrams": 11, "steps": 21,
-            "counters": {"batch_score_calls": 1}},
+            "counters": {"predicted_skips": 1}},
 }
 
 
@@ -388,61 +384,38 @@ class TestReport:
 
     def _report(self):
         entries = [
-            {"kind": "table2", "graph_engine": "slab", "effort": 10,
+            {"kind": "table2", "effort": 10,
              "seconds": 60.0 + i,
-             "profile": {"nodes_allocated": 100, "slab_capacity": 200,
-                         "compactions": 3}}
+             "profile": {"nodes_allocated": 100, "compactions": 3}}
             for i in range(4)
         ] + [
-            {"kind": "scale", "graph_engine": "slab", "effort": 10,
+            {"kind": "scale", "effort": 10,
              "seconds": 10.0, "benchmarks": {"rca1536": SCALE_CELL}},
         ]
         return build_report(_ledger(entries))
 
     def test_report_groups_series_and_gauges(self):
         report = self._report()
-        keys = [(row.kind, row.graph_engine, row.effort)
-                for row in report.series]
-        assert ("table2", "slab", 10) in keys
+        keys = [(row.kind, row.effort) for row in report.series]
+        assert ("table2", 10) in keys
         table2 = next(r for r in report.series if r.kind == "table2")
         assert len(table2.seconds) == 4
         # Band excludes the latest point.
         assert table2.band.count == 3
-        assert report.occupancy["occupancy"] == pytest.approx(0.5)
+        assert report.allocation == {
+            "kind": "table2", "nodes_allocated": 100, "compactions": 3,
+        }
         assert report.scale_cells["rca1536"]["seconds"] == pytest.approx(6.0)
 
     def test_renderers_cover_every_section(self):
         report = self._report()
         text = render_report(report)
-        assert "table2/slab/effort=10" in text
-        assert "slab occupancy" in text
+        assert "table2/effort=10" in text
+        assert "node allocation" in text
         assert "rca1536" in text
         html = render_report_html(report)
         assert html.startswith("<!DOCTYPE html>")
         assert "rca1536" in html and "nodes_allocated" in html
-
-    def test_derive_scale_budget_uses_history(self):
-        entries = [
-            {"kind": "scale", "seconds": 1.0,
-             "benchmarks": {"rca1536": SCALE_CELL}},
-            {"kind": "perf-guard-scale", "benchmark": "rca1536",
-             "seconds": 5.5, "scale_seconds": 5.5},
-        ]
-        budget = derive_scale_budget(_ledger(entries), "rca1536", floor=0.0)
-        band = noise_band([6.0, 5.5])
-        assert budget == pytest.approx(band.upper(2.0))
-
-    def test_derive_scale_budget_floor_protects_fast_flows(self):
-        entries = [
-            {"kind": "scale", "seconds": 1.0,
-             "benchmarks": {"rca1536": SCALE_CELL}},
-        ]
-        assert derive_scale_budget(_ledger(entries), "rca1536") == 60.0
-
-    def test_derive_scale_budget_fallback(self):
-        assert derive_scale_budget(
-            _ledger([]), "rca1536", fallback=123.0
-        ) == 123.0
 
 
 # ----------------------------------------------------------------------
@@ -480,13 +453,13 @@ class TestGateFindings:
         outcome.findings.append(Finding("counter", "a", True, "fine"))
         outcome.findings.append(
             Finding("counter", "b", False,
-                    "batch_score_calls: baseline 1 -> 0")
+                    "predicted_skips: baseline 1 -> 0")
         )
         assert not outcome.passed
         assert len(outcome.failures) == 1
         rendered = render_gate([outcome])
         assert "drifting counters:" in rendered
-        assert "batch_score_calls" in rendered
+        assert "predicted_skips" in rendered
         assert rendered.endswith("obs gate FAIL")
         entry = gate_entry([outcome], seconds=1.0, effort=10)
         assert entry["kind"] == "obs-gate"

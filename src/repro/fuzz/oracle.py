@@ -279,6 +279,7 @@ CONTENT_FIELDS: Tuple[str, ...] = (
     "pos",
     "po_names",
     "strash",
+    "po_index",
 )
 
 
@@ -286,9 +287,11 @@ def graph_content(mig: Mig) -> tuple:
     """A copy of every piece of mutable graph state, in
     :data:`CONTENT_FIELDS` order.
 
-    Fanout and strash are compared as dicts: content, not insertion
-    order.  Rollback restores content only, and nothing that decides a
-    result reads their order (``clone`` included)."""
+    Fanout, strash and the PO reverse index are compared as dicts:
+    content, not insertion order.  Rollback restores content only, and
+    nothing that decides a result reads their order (``clone``
+    included).  Node ranks are left out: they only ever rise, and
+    rollback keeps them (``Mig.check_invariants`` checks their order)."""
     return (
         list(mig._children),
         list(mig._is_pi),
@@ -298,6 +301,7 @@ def graph_content(mig: Mig) -> tuple:
         list(mig._pos),
         list(mig._po_names),
         dict(mig._strash),
+        {node: list(refs) for node, refs in mig._po_index.items()},
     )
 
 

@@ -528,6 +528,8 @@ class CostView:
         c_delta: Dict[int, int] = {}
         po_delta = 0
         fanout = mig._fanout
+        pos = mig._pos
+        po_index = mig._po_index
         for node in applied:
             level = levels.get(node)
             triple = children_arr[node]
@@ -554,9 +556,8 @@ class CostView:
                             parent_level, 0
                         ) + (-1 if s & 1 else 1)
             # PO edges (virtual level).
-            for po in mig._pos:
-                if po >> 1 == node:
-                    po_delta += -1 if po & 1 else 1
+            for index in po_index.get(node, ()):
+                po_delta += -1 if pos[index] & 1 else 1
         new_c = dict(self._c_at)
         for level, delta in c_delta.items():
             if not delta:

@@ -19,7 +19,11 @@ Invariants maintained at all times:
   or complementary children) — enforced by :meth:`Mig.make_maj` and by
   :meth:`Mig.substitute`;
 * the structural-hash table maps each live sorted triple to exactly one
-  node (no duplicate gates among live nodes).
+  node (no duplicate gates among live nodes);
+* every node has a topological *rank* with ``rank[child] < rank[parent]``
+  on every edge of an attached gate (which makes the graph acyclic);
+* the PO reverse index maps each node to the ascending indices of the
+  primary outputs that point at it.
 
 Complement *placement* is deliberately **not** canonicalized: the
 optimization algorithms of the paper (Sec. III-C/D) explicitly move
@@ -47,6 +51,7 @@ never alias across a rollback).
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..truth import TruthTable, table_mask
@@ -118,6 +123,14 @@ class Mig:
         self._pos: List[Signal] = []
         self._po_names: List[str] = []
         self._strash: Dict[Tuple[Signal, Signal, Signal], int] = {}
+        # Topological rank per node: rank[child] < rank[parent] on every
+        # attached edge.  Ranks only ever rise (see _raise_rank), so a
+        # rank that was valid before a rollback stays valid after it
+        # and the journal never records them.
+        self._rank: List[int] = [0]
+        # PO reverse index: node -> ascending indices of the POs that
+        # point at it (nodes without POs have no entry).
+        self._po_index: Dict[int, List[int]] = {}
         self._generation = 0  # bumped on every structural change
         # Structural-event log (see module constants).  Disabled until a
         # CostView calls :meth:`enable_event_log`; clones therefore pay
@@ -133,7 +146,8 @@ class Mig:
         # on rollback): ``("n", node)`` node allocation, ``("a", node,
         # prev_strash_owner)`` attach, ``("d", node, triple, owned)``
         # detach, ``("p", index, old_signal)`` PO write, and ``("w",
-        # arrays)`` wholesale array replacement (copy_from/compact).
+        # arrays)`` wholesale array replacement (copy_from/compact) that
+        # also carries the rank array and the PO index.
         # Nested checkpoints share the journal through a mark stack.
         self._undo: List[tuple] = []
         self._tx_stack: List[int] = []
@@ -290,8 +304,8 @@ class Mig:
         return sum(self._fanout[node].values())
 
     def po_refs(self, node: int) -> List[int]:
-        """Return PO indices whose signal points at ``node``."""
-        return [i for i, s in enumerate(self._pos) if signal_node(s) == node]
+        """Return PO indices whose signal points at ``node`` (ascending)."""
+        return list(self._po_index.get(node, ()))
 
     # ------------------------------------------------------------------
     # Construction
@@ -314,10 +328,10 @@ class Mig:
         node = signal_node(signal)
         self._pos.append(signal)
         self._po_names.append(name if name is not None else f"f{len(self._pos) - 1}")
+        self._po_index.setdefault(node, []).append(len(self._pos) - 1)
         self._generation += 1
         if self._track_events:
             self._log_event((EVENT_PO, len(self._pos) - 1, None, signal))
-        # No fanout bookkeeping for POs: they are queried via po_refs.
         return len(self._pos) - 1
 
     def set_po(self, index: int, signal: Signal) -> None:
@@ -327,6 +341,7 @@ class Mig:
         if self._tx_stack:
             self._undo.append(("p", index, old))
         self._pos[index] = signal
+        self._repoint_po(index, signal_node(old), signal_node(signal))
         self._generation += 1
         if self._track_events and old != signal:
             self._log_event((EVENT_PO, index, old, signal))
@@ -413,15 +428,20 @@ class Mig:
             if signal_node(new) == old:
                 continue  # chain already collapsed onto this node
             resolution[old] = new
-            # Redirect primary outputs.
-            for i, po in enumerate(self._pos):
-                if signal_node(po) == old:
+            # Redirect primary outputs, in ascending index order.
+            moved = self._po_index.pop(old, None)
+            if moved is not None:
+                for i in moved:
+                    po = self._pos[i]
                     redirected = new ^ (po & 1)
                     if self._tx_stack:
                         self._undo.append(("p", i, po))
                     self._pos[i] = redirected
                     if self._track_events:
                         self._log_event((EVENT_PO, i, po, redirected))
+                refs = self._po_index.setdefault(signal_node(new), [])
+                refs.extend(moved)
+                refs.sort()
             # Redirect parents (snapshot: _rebuild_parent mutates fanout).
             for parent in list(self._fanout[old].keys()):
                 merged = self._rebuild_parent(parent, old, new)
@@ -540,24 +560,37 @@ class Mig:
         """Number of live (PO-reachable) gate nodes — the MIG *size*."""
         return len(self._reachable_cached())
 
-    def cone_nodes(self, signal: Signal) -> List[int]:
-        """Gate nodes in the transitive fan-in cone of ``signal`` (topo order)."""
+    def cone_nodes(
+        self, signal: Signal, limit: Optional[int] = None
+    ) -> Optional[List[int]]:
+        """Gate nodes in the transitive fan-in cone of ``signal`` (topo order).
+
+        With ``limit``, returns None as soon as the walk discovers more
+        than ``limit`` nodes, so deciding that a cone is too large costs
+        O(limit), not O(cone).
+        """
+        children_arr = self._children
         root = signal_node(signal)
-        if not self.is_gate(root):
+        if children_arr[root] is None:
             return []
+        if limit is not None and limit < 1:
+            return None
         visited: Set[int] = set()
         order: List[int] = []
+        # The stack holds exactly the current DFS path, so every gate is
+        # pushed once and ``discovered`` counts distinct cone nodes.
         stack: List[Tuple[int, int]] = [(root, 0)]
+        discovered = 1
         while stack:
             node, child_index = stack.pop()
-            if node in visited:
-                continue
-            triple = self._children[node]
-            assert triple is not None
+            triple = children_arr[node]
             pushed = False
             for i in range(child_index, 3):
-                child = signal_node(triple[i])
-                if child not in visited and self.is_gate(child):
+                child = triple[i] >> 1  # type: ignore[index]
+                if child not in visited and children_arr[child] is not None:
+                    discovered += 1
+                    if limit is not None and discovered > limit:
+                        return None
                     stack.append((node, i + 1))
                     stack.append((child, 0))
                     pushed = True
@@ -568,24 +601,35 @@ class Mig:
         return order
 
     def _in_cone(self, node: int, target: int) -> bool:
-        """True iff ``target`` is in the fan-in cone of ``node`` (or equal)."""
+        """True iff ``target`` is in the fan-in cone of ``node`` (or equal).
+
+        Exact, and proportional to the part of the cone ranked above
+        ``target``: a node other than ``target`` with ``rank <=
+        rank[target]`` cannot have ``target`` below it, so the walk
+        never enters it.
+        """
         if node == target:
             return True
-        children_arr = self._children
-        if children_arr[node] is None:
+        rank = self._rank
+        floor = rank[target]
+        if rank[node] <= floor:
             return False
+        children_arr = self._children
         stack = [node]
         seen = {node}
         while stack:
-            current = stack.pop()
-            triple = children_arr[current]
+            triple = children_arr[stack.pop()]
             if triple is None:
                 continue
             for s in triple:
                 child = s >> 1
                 if child == target:
                     return True
-                if child not in seen and children_arr[child] is not None:
+                if (
+                    rank[child] > floor
+                    and child not in seen
+                    and children_arr[child] is not None
+                ):
                     seen.add(child)
                     stack.append(child)
         return False
@@ -654,11 +698,13 @@ class Mig:
         c_is_pi = copy._is_pi
         c_fanout = copy._fanout
         c_strash = copy._strash
+        c_rank = copy._rank
         for node, name in zip(self._pis, self._pi_names):
             idx = len(c_children)
             c_children.append(None)
             c_is_pi.append(True)
             c_fanout.append({})
+            c_rank.append(0)
             copy._pis.append(idx)
             copy._pi_names.append(name)
             mapping[node] = idx << 1
@@ -679,6 +725,9 @@ class Mig:
             c_children.append(triple)
             c_is_pi.append(False)
             c_fanout.append({})
+            c_rank.append(
+                1 + max(c_rank[a >> 1], c_rank[b >> 1], c_rank[c >> 1])
+            )
             c_strash[triple] = idx
             for s in triple:
                 fo = c_fanout[s >> 1]
@@ -696,6 +745,9 @@ class Mig:
                         copy_gate(node)
                 if mapping[driver] == -1:
                     raise MigError(f"PO references detached node {driver}")
+            copy._po_index.setdefault(mapping[driver] >> 1, []).append(
+                len(copy._pos)
+            )
             copy._pos.append(mapping[driver] ^ (po & 1))
             copy._po_names.append(name)
         copy._generation = len(c_children) - 1 + len(copy._pos)
@@ -746,6 +798,8 @@ class Mig:
                     self._pos,
                     self._po_names,
                     self._strash,
+                    self._rank,
+                    self._po_index,
                 ),
             ))
         self._children = source._children
@@ -756,6 +810,8 @@ class Mig:
         self._pos = source._pos
         self._po_names = source._po_names
         self._strash = source._strash
+        self._rank = source._rank
+        self._po_index = source._po_index
         self._generation += 1
         # The graph changed wholesale without per-mutation events: jump
         # the event base past every live cursor so views full-recompute.
@@ -865,6 +921,7 @@ class Mig:
                 for s in triple:
                     counts = fanout[s >> 1]
                     counts[node] = counts.get(node, 0) + 1
+                self._order_rank(node, triple)
                 if track:
                     pending.append((EVENT_ATTACH, node, triple))
             elif kind == "n":
@@ -881,6 +938,7 @@ class Mig:
                 del children_arr[top - run + 1 :]
                 del self._is_pi[top - run + 1 :]
                 del fanout[top - run + 1 :]
+                del self._rank[top - run + 1 :]
                 replayed += run
                 i -= run
                 continue
@@ -888,6 +946,7 @@ class Mig:
                 _kind, index, old = record
                 current = self._pos[index]
                 self._pos[index] = old
+                self._repoint_po(index, current >> 1, old >> 1)
                 if track and current != old:
                     pending.append((EVENT_PO, index, current, old))
             else:  # "w" — wholesale array swap (copy_from/compact)
@@ -905,6 +964,8 @@ class Mig:
                     self._pos,
                     self._po_names,
                     self._strash,
+                    self._rank,
+                    self._po_index,
                 ) = record[1]
                 children_arr = self._children
                 fanout = self._fanout
@@ -940,6 +1001,7 @@ class Mig:
         self._children.append(None)
         self._is_pi.append(is_pi)
         self._fanout.append({})
+        self._rank.append(0)
         if self._tx_stack:
             self._undo.append(("n", node))
         if children is not None:
@@ -958,8 +1020,47 @@ class Mig:
         for s in children:
             child = signal_node(s)
             self._fanout[child][node] = self._fanout[child].get(node, 0) + 1
+        self._order_rank(node, children)
         if self._track_events:
             self._log_event((EVENT_ATTACH, node, children))
+
+    def _order_rank(
+        self, node: int, children: Tuple[Signal, Signal, Signal]
+    ) -> None:
+        """Restore ``rank[child] < rank[parent]`` after ``node`` gained
+        ``children``: raise its rank if needed and push the raise up
+        through fanout only while the order is violated.
+
+        Terminates because the attached edges form a DAG (every caller
+        rules out cycles first)."""
+        rank = self._rank
+        a, b, c = children
+        needed = 1 + max(rank[a >> 1], rank[b >> 1], rank[c >> 1])
+        if needed <= rank[node]:
+            return
+        rank[node] = needed
+        fanout = self._fanout
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            above = rank[current] + 1
+            for parent in fanout[current]:
+                if rank[parent] < above:
+                    rank[parent] = above
+                    stack.append(parent)
+
+    def _repoint_po(self, index: int, old_node: int, new_node: int) -> None:
+        """Move PO ``index`` from ``old_node`` to ``new_node`` in the
+        reverse index, keeping each entry ascending."""
+        if old_node == new_node:
+            return
+        index_map = self._po_index
+        refs = index_map[old_node]
+        if len(refs) == 1:
+            del index_map[old_node]
+        else:
+            refs.remove(index)
+        insort(index_map.setdefault(new_node, []), index)
 
     def _detach(self, node: int) -> None:
         """Remove a gate's children from fanout tables and the strash."""
@@ -982,7 +1083,14 @@ class Mig:
             self._log_event((EVENT_DETACH, node, triple))
 
     def check_invariants(self) -> None:
-        """Assert the structural invariants (used by the test-suite)."""
+        """Assert the structural invariants (used by the test-suite).
+
+        The rank order on every attached edge also proves acyclicity.
+        """
+        if len(self._rank) != len(self._children):
+            raise MigError("rank array out of step with the node arrays")
+        live = set(self._reachable_cached())
+        rank = self._rank
         for node, triple in enumerate(self._children):
             if triple is None:
                 continue
@@ -990,17 +1098,20 @@ class Mig:
                 raise MigError(f"node {node} has unsorted children {triple}")
             if _reduce_majority(triple) is not None:
                 raise MigError(f"node {node} is Ω.M-reducible: {triple}")
-            if self._strash.get(triple) != node:
+            if self._strash.get(triple) != node and node in live:
                 # A dead duplicate is tolerated only if it is unreachable.
-                if node in self.reachable_nodes():
-                    raise MigError(f"live node {node} missing from strash")
+                raise MigError(f"live node {node} missing from strash")
             for s in triple:
                 child = signal_node(s)
-                if child >= node and self.is_gate(child):
-                    # children always have smaller indices than parents
-                    # unless rewrites reused slots; just require acyclicity
-                    if self._in_cone(child, node):
-                        raise MigError(f"cycle through node {node}")
+                if rank[child] >= rank[node]:
+                    raise MigError(
+                        f"rank order violated on edge {child} -> {node}"
+                    )
+        scanned: Dict[int, List[int]] = {}
+        for index, po in enumerate(self._pos):
+            scanned.setdefault(signal_node(po), []).append(index)
+        if scanned != self._po_index:
+            raise MigError("PO reverse index differs from a full PO scan")
 
     def __repr__(self) -> str:
         return (

@@ -403,8 +403,8 @@ def rebuild_with_replacement(
     target_node = signal_node(target)
     node_replacement = replacement ^ (target & 1)
 
-    cone = mig.cone_nodes(root)
-    if len(cone) > size_limit:
+    cone = mig.cone_nodes(root, size_limit)
+    if cone is None:
         return None
 
     mapping: Dict[int, Signal] = {target_node: node_replacement}

@@ -500,34 +500,22 @@ class CostView:
         Flips never change node levels, so the outcome is a pure
         complement-histogram delta — *unless* a rewritten triple
         collides in the structural hash, which merges nodes.  The
-        collision check is conservative (order-aware over the planned
-        sequence): when a collision is possible this returns ``None``
-        and the caller must fall back to apply-and-measure.
+        collision check replays the group on triples (see
+        :meth:`_flip_group_may_merge`); when a collision is possible
+        this returns ``None`` and the caller must fall back to
+        apply-and-measure.
         """
         self._sync()
         mig = self.mig
         children_arr = mig._children
-        strash = mig._strash
         levels = self._levels
         applied = [f for f in flips if children_arr[f] is not None]
-        done: set = set()
-        for node in applied:
-            triple = children_arr[node]
-            if not (
-                (triple[0] >> 1) in done  # type: ignore[index]
-                or (triple[1] >> 1) in done  # type: ignore[index]
-                or (triple[2] >> 1) in done  # type: ignore[index]
-            ):
-                # No earlier flip rewrote a child, so the negated triple
-                # is looked up verbatim — a hit means a possible merge.
-                negated = tuple(sorted(s ^ 1 for s in triple))  # type: ignore[union-attr]
-                if negated in strash:
-                    return None
-            done.add(node)
+        fanout = mig._fanout
+        if self._flip_group_may_merge(applied):
+            return None
         flip_set = set(applied)
         c_delta: Dict[int, int] = {}
         po_delta = 0
-        fanout = mig._fanout
         pos = mig._pos
         po_index = mig._po_index
         for node in applied:
@@ -577,6 +565,50 @@ class CostView:
             if value > best:
                 best = value
         return (steps, best)
+
+    def _flip_group_may_merge(self, applied: Sequence[int]) -> bool:
+        """Replay the Ω.I flips of ``applied``, in order, on triples.
+
+        Each flip installs a fresh node for its negated triple and
+        rewrites every parent of the flipped node (its graph parents
+        and the fresh nodes of earlier flips) to point at the fresh
+        node with the edge polarity toggled.  True when a negated or
+        rewritten triple is already in the strash or among the triples
+        the replay produced: applying the group may then merge nodes.
+        """
+        mig = self.mig
+        children_arr = mig._children
+        strash = mig._strash
+        fanout = mig._fanout
+        current: Dict[int, Tuple[int, int, int]] = {}  # replayed triples
+        fresh_parents: Dict[int, List[int]] = {}  # child -> fresh nodes
+        produced: set = set()
+        fresh = len(children_arr)
+        for node in applied:
+            triple = current.get(node) or children_arr[node]
+            negated = tuple(sorted(s ^ 1 for s in triple))  # type: ignore[union-attr]
+            if negated in strash or negated in produced:
+                return True
+            produced.add(negated)
+            current[fresh] = negated  # type: ignore[assignment]
+            for s in negated:
+                fresh_parents.setdefault(s >> 1, []).append(fresh)
+            # The parent edge to ``node`` becomes an edge to !fresh.
+            redirect = (fresh << 1) | 1
+            for parent in [*fanout[node], *fresh_parents.get(node, ())]:
+                old = current.get(parent) or children_arr[parent]
+                rewritten = tuple(
+                    sorted(
+                        redirect ^ (s & 1) if s >> 1 == node else s
+                        for s in old  # type: ignore[union-attr]
+                    )
+                )
+                if rewritten in strash or rewritten in produced:
+                    return True
+                produced.add(rewritten)
+                current[parent] = rewritten  # type: ignore[assignment]
+            fresh += 1
+        return False
 
     # ------------------------------------------------------------------
     # Profiling

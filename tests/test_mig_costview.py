@@ -176,6 +176,27 @@ class TestPredictFlipGroup:
             if predicted is not None:
                 assert tuple(predicted) == measured
 
+    def test_rewritten_parent_collision_is_not_predicted(self):
+        """Flipping 6 rewrites its parents; flipping 11 afterwards makes
+        a rewritten triple equal another one, and the two merge.  The
+        prediction must not claim the merge-free (S, R) = (9, 11)."""
+        mig = random_mig(706)
+        view = CostView(mig)
+        flips = [6, 11, 10]
+        trial = copy.deepcopy(mig)
+        trial._track_events = False
+        for node in flips:
+            if trial.is_gate(node):
+                apply_inverter_propagation(trial, node)
+        stats = level_stats(trial)
+        measured = (
+            stats.step_count(Realization.MAJ),
+            stats.rram_count(Realization.MAJ),
+        )
+        assert measured == (9, 6)
+        predicted = view.predict_flip_group(flips, Realization.MAJ)
+        assert predicted is None or tuple(predicted) == measured
+
     def test_prediction_skips_nothing_on_fresh_nodes(self):
         # A chain graph has no strash collisions on flip, so prediction
         # must return a value (not bail to the measured path).

@@ -235,10 +235,8 @@ def bench_scale(
     the MIG, then for each realization run the Ω.I inverter-propagation
     pass (``effort`` bounds its rounds) against an attached CostView and
     record Table I R/S before and after plus per-phase wall-clocks.
-    The full Alg. 1–4 ladders are quadratic in graph size and stay
-    restricted to the paper's corpus; Ω.I is the flow whose per-node
-    cost is bounded, which is what makes the ≥100k-gate datapoint
-    tractable at all (see PERFORMANCE.md).
+    Alg. 3/4 on this tier are timed by ``benchmarks/scale_alg34.py``
+    and the ``perfbench`` ``scale`` workload (see PERFORMANCE.md).
     """
     from ..benchmarks.scale import load_scale_mig, scale_names
     from ..mig import CostView, Realization

@@ -510,12 +510,12 @@ class CostView:
         children_arr = mig._children
         levels = self._levels
         applied = [f for f in flips if children_arr[f] is not None]
-        fanout = mig._fanout
         if self._flip_group_may_merge(applied):
             return None
         flip_set = set(applied)
         c_delta: Dict[int, int] = {}
         po_delta = 0
+        fanout = mig._fanout
         pos = mig._pos
         po_index = mig._po_index
         for node in applied:

@@ -124,7 +124,7 @@ class Mig:
         self._po_names: List[str] = []
         self._strash: Dict[Tuple[Signal, Signal, Signal], int] = {}
         # Topological rank per node: rank[child] < rank[parent] on every
-        # attached edge.  Ranks only ever rise (see _raise_rank), so a
+        # attached edge.  Ranks only ever rise (see _order_rank), so a
         # rank that was valid before a rollback stays valid after it
         # and the journal never records them.
         self._rank: List[int] = [0]
@@ -625,11 +625,7 @@ class Mig:
                 child = s >> 1
                 if child == target:
                     return True
-                if (
-                    rank[child] > floor
-                    and child not in seen
-                    and children_arr[child] is not None
-                ):
+                if rank[child] > floor and child not in seen:
                     seen.add(child)
                     stack.append(child)
         return False
@@ -725,9 +721,12 @@ class Mig:
             c_children.append(triple)
             c_is_pi.append(False)
             c_fanout.append({})
-            c_rank.append(
-                1 + max(c_rank[a >> 1], c_rank[b >> 1], c_rank[c >> 1])
-            )
+            rank = c_rank[a >> 1]
+            if c_rank[b >> 1] > rank:
+                rank = c_rank[b >> 1]
+            if c_rank[c >> 1] > rank:
+                rank = c_rank[c >> 1]
+            c_rank.append(rank + 1)
             c_strash[triple] = idx
             for s in triple:
                 fo = c_fanout[s >> 1]
@@ -1035,11 +1034,18 @@ class Mig:
         rules out cycles first)."""
         rank = self._rank
         a, b, c = children
-        needed = 1 + max(rank[a >> 1], rank[b >> 1], rank[c >> 1])
+        needed = rank[a >> 1]
+        if rank[b >> 1] > needed:
+            needed = rank[b >> 1]
+        if rank[c >> 1] > needed:
+            needed = rank[c >> 1]
+        needed += 1
         if needed <= rank[node]:
             return
         rank[node] = needed
         fanout = self._fanout
+        if not fanout[node]:
+            return
         stack = [node]
         while stack:
             current = stack.pop()

@@ -24,6 +24,7 @@ import pytest
 
 from repro.benchmarks import load_mig
 from repro.mig import (
+    CostView,
     Realization,
     inverter_propagation_pass,
     optimize_steps,
@@ -39,22 +40,23 @@ CONTROL = "parity"  # XOR complements are irreducible
 
 def _steps_with_tier(name: str, tier: str) -> int:
     mig = load_mig(name)
-    push_up(mig, use_relevance=False)
+    view = CostView(mig)
+    push_up(mig, use_relevance=False, view=view)
     if tier in ("cases", "full", "anneal"):
         if tier in ("full", "anneal"):
             inverter_propagation_pass(
                 mig, Realization.MAJ, cases=None,
-                steps_weight=8, rram_weight=1,
+                steps_weight=8, rram_weight=1, view=view,
             )
         inverter_propagation_pass(
             mig, Realization.MAJ, cases=(1, 2, 3),
-            steps_weight=8, rram_weight=1,
+            steps_weight=8, rram_weight=1, view=view,
         )
         if tier in ("full", "anneal"):
-            clear_complemented_levels(mig, Realization.MAJ)
+            clear_complemented_levels(mig, Realization.MAJ, view=view)
         if tier == "anneal":
             anneal_complements(mig, Realization.MAJ, iterations=2500)
-    push_up(mig, use_relevance=False)
+    push_up(mig, use_relevance=False, view=view)
     return rram_costs(mig, Realization.MAJ).steps
 
 

@@ -75,8 +75,8 @@ class ConfigResult:
     size: int
     runtime_seconds: float
     verified: Optional[bool] = None
-    #: CostView counters of the optimizer run (None when the optimizer
-    #: ran without a view); summed across cells/workers by
+    #: CostView counters of the optimizer run (None when the result
+    #: carries none); summed across cells/workers by
     #: :meth:`Table2Result.merged_profile`.
     profile: Optional[Dict[str, int]] = None
 

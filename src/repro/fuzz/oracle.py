@@ -10,10 +10,10 @@ For one generated circuit the oracle asserts, in order:
    incremental :class:`~repro.mig.costview.CostView` agrees with the
    from-scratch ``rram_costs`` on the result.
 3. **CostView differential** — each building-block pass run twice on
-   identical clones, once with a CostView attached and once without,
-   must produce identical outcomes (the PR-1 invalidation protocol's
-   core claim, here checked on adversarial inputs instead of the
-   benchmark set).
+   identical clones, once reading a CostView and once reading the
+   from-scratch :class:`ScratchView`, must produce identical outcomes
+   (the incremental invalidation protocol's core claim, here checked
+   on adversarial inputs instead of the benchmark set).
 4. **Transaction audit** — every optimizer flow runs once under
    :func:`tx_audit`, which snapshots the graph content at every
    ``checkpoint()`` and asserts that every ``rollback()`` restores it
@@ -41,12 +41,13 @@ import traceback
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..aig import aig_from_netlist
 from ..bdd import build_bdd_from_netlist, dfs_variable_order
 from ..mig import (
     CostView,
+    CostViewCounters,
     Mig,
     Realization,
     anneal_complements,
@@ -64,6 +65,13 @@ from ..mig.algorithms import (
     eliminate,
     inverter_propagation_pass,
     push_up,
+)
+from ..mig.views import (
+    LevelStats,
+    RramCosts,
+    level_stats,
+    node_heights,
+    node_levels,
 )
 from ..network import Netlist
 from ..rram import compile_mig, compile_plim, verify_compiled
@@ -199,7 +207,43 @@ def _check_flow(
     return None
 
 
-_PASSES: Tuple[Tuple[str, Callable[[Mig, Optional[CostView]], object]], ...] = (
+class ScratchView:
+    """The from-scratch reference for the ``costview-diff`` check.
+
+    Answers the :class:`CostView` accessors the optimizer passes read
+    by recomputing them from :mod:`repro.mig.views` on every call, and
+    never predicts an Ω.I flip group, so ``clear_complemented_levels``
+    measures every candidate.
+    """
+
+    def __init__(self, mig: Mig) -> None:
+        self.mig = mig
+        self.counters = CostViewCounters()
+
+    def size_depth(self) -> Tuple[int, int]:
+        stats = level_stats(self.mig)
+        return stats.size, stats.depth
+
+    def levels(self) -> Dict[int, int]:
+        return node_levels(self.mig)
+
+    def stats(self) -> LevelStats:
+        return level_stats(self.mig)
+
+    def costs(self, realization: Realization) -> RramCosts:
+        return rram_costs(self.mig, realization)
+
+    def reachable(self) -> List[int]:
+        return self.mig.reachable_nodes()
+
+    def heights(self) -> Dict[int, int]:
+        return node_heights(self.mig)
+
+    def predict_flip_group(self, flips, realization) -> None:
+        return None
+
+
+_PASSES: Tuple[Tuple[str, Callable[[Mig, Any], object]], ...] = (
     ("eliminate", lambda mig, view: eliminate(mig, view=view)),
     ("push_up", lambda mig, view: push_up(mig, view=view)),
     (
@@ -232,13 +276,14 @@ _PASSES: Tuple[Tuple[str, Callable[[Mig, Optional[CostView]], object]], ...] = (
 def _check_costview_differential(
     base: Mig, netlist: Netlist
 ) -> Optional[OracleFailure]:
-    """Each pass with and without a CostView must be result-identical."""
+    """Each pass must be result-identical reading a CostView and
+    reading the from-scratch :class:`ScratchView`."""
     for pass_name, runner in _PASSES:
         with_view = base.clone()
         without_view = base.clone()
         view = CostView(with_view)
         changed_with = runner(with_view, view)
-        changed_without = runner(without_view, None)
+        changed_without = runner(without_view, ScratchView(without_view))
         view.assert_consistent()
         if bool(changed_with) != bool(changed_without):
             return OracleFailure(

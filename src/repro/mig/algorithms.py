@@ -19,7 +19,7 @@ to running the remaining cycles, which would all be no-ops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry import active_trajectory, span, traced
 from .costview import CostView
@@ -33,7 +33,7 @@ from .rewrite import (
     apply_relevance,
     inverter_propagation_case,
 )
-from .views import Realization, level_stats, node_heights, node_levels, rram_costs
+from .views import Realization, RramCosts, rram_costs
 
 DEFAULT_EFFORT = 40
 
@@ -63,40 +63,7 @@ class OptimizationResult:
         return self.initial_depth - self.final_depth
 
 
-# Every pass accepts an optional CostView; without one it falls back to
-# the from-scratch views (same answers, recomputed per call).
-
-
-def _levels_of(mig: Mig, view: Optional[CostView]) -> Dict[int, int]:
-    return view.levels() if view is not None else node_levels(mig)
-
-
-def _stats_of(mig: Mig, view: Optional[CostView]):
-    return view.stats() if view is not None else level_stats(mig)
-
-
-def _costs_of(mig: Mig, realization: Realization, view: Optional[CostView]):
-    return view.costs(realization) if view is not None else rram_costs(
-        mig, realization
-    )
-
-
-def _reachable_of(mig: Mig, view: Optional[CostView]) -> List[int]:
-    return view.reachable() if view is not None else mig.reachable_nodes()
-
-
-def _size_depth(
-    mig: Mig, view: Optional[CostView] = None
-) -> Tuple[int, int]:
-    if view is not None:
-        return view.size_depth()
-    stats = level_stats(mig)
-    return stats.size, stats.depth
-
-
-def _record_trial(
-    mig: Mig, view: Optional[CostView], *, rule: str, accepted: bool
-) -> None:
+def _record_trial(mig: Mig, view: CostView, *, rule: str, accepted: bool) -> None:
     """Feed the active trajectory recorder (no-op when none installed)."""
     recorder = active_trajectory()
     if recorder is not None:
@@ -109,9 +76,7 @@ def _record_trial(
 
 
 @traced("pass.eliminate")
-def eliminate(
-    mig: Mig, *, max_rounds: int = 64, view: Optional[CostView] = None
-) -> bool:
+def eliminate(mig: Mig, *, view: CostView, max_rounds: int = 64) -> bool:
     """``Ω.M; Ω.D_{R→L}`` to convergence — the paper's *eliminate*.
 
     Ω.M is enforced structurally at all times, so the pass reduces to
@@ -121,7 +86,7 @@ def eliminate(
     changed_any = False
     for _round in range(max_rounds):
         changed = False
-        for node in _reachable_of(mig, view):
+        for node in view.reachable():
             if not mig.is_gate(node):
                 continue
             if apply_distributivity_rl(mig, node):
@@ -133,17 +98,15 @@ def eliminate(
 
 
 @traced("pass.reshape")
-def reshape(
-    mig: Mig, *, variant: int = 0, view: Optional[CostView] = None
-) -> bool:
+def reshape(mig: Mig, *, view: CostView, variant: int = 0) -> bool:
     """One ``Ω.A; Ψ.C`` sweep that re-arranges the graph.
 
     Used by Alg. 1 between eliminations to expose new merging
     opportunities.  ``variant`` alternates the node traversal direction
     between cycles so successive reshapes explore different orders.
     """
-    levels = _levels_of(mig, view)
-    nodes = _reachable_of(mig, view)
+    levels = view.levels()
+    nodes = view.reachable()
     if variant % 2:
         nodes = list(reversed(nodes))
     changed = False
@@ -152,23 +115,23 @@ def reshape(
             continue
         if apply_associativity(mig, node, levels, allow_neutral=True):
             changed = True
-            levels = _levels_of(mig, view)
+            levels = view.levels()
         elif apply_complementary_associativity(mig, node, levels):
             changed = True
-            levels = _levels_of(mig, view)
+            levels = view.levels()
     return changed
 
 
 def _critical_nodes_from(
-    mig: Mig, levels: Dict[int, int], view: Optional[CostView] = None
+    mig: Mig, levels: Dict[int, int], *, view: CostView
 ) -> List[int]:
-    heights = view.heights() if view is not None else node_heights(mig)
+    heights = view.heights()
     depth = 0
     for po in mig.pos:
         depth = max(depth, levels.get(signal_node(po), 0))
     nodes = [
         node
-        for node in _reachable_of(mig, view)
+        for node in view.reachable()
         if levels[node] + heights.get(node, 0) == depth
     ]
     nodes.sort(key=lambda n: levels[n], reverse=True)
@@ -179,9 +142,9 @@ def _critical_nodes_from(
 def push_up(
     mig: Mig,
     *,
+    view: CostView,
     use_relevance: bool = True,
     max_sweeps: int = 24,
-    view: Optional[CostView] = None,
 ) -> bool:
     """The paper's *push-up*: drive critical variables to upper levels.
 
@@ -194,7 +157,7 @@ def push_up(
     best_depth: Optional[int] = None
     stale_sweeps = 0
     for _sweep in range(max_sweeps):
-        levels = _levels_of(mig, view)
+        levels = view.levels()
         depth = 0
         for po in mig.pos:
             depth = max(depth, levels.get(signal_node(po), 0))
@@ -206,7 +169,7 @@ def push_up(
             if stale_sweeps >= 2:
                 break
         moved = False
-        for node in _critical_nodes_from(mig, levels, view):
+        for node in _critical_nodes_from(mig, levels, view=view):
             if not mig.is_gate(node):
                 continue
             if (
@@ -251,11 +214,11 @@ def inverter_propagation_pass(
     mig: Mig,
     realization: Realization,
     *,
+    view: CostView,
     cases: Optional[Sequence[int]] = (1, 2, 3),
     steps_weight: int = 4,
     rram_weight: int = 1,
     max_rounds: int = 4,
-    view: Optional[CostView] = None,
 ) -> bool:
     """Greedy complement re-placement via Ω.I.
 
@@ -278,7 +241,7 @@ def inverter_propagation_pass(
     """
     changed_any = False
     for _round in range(max_rounds):
-        stats = _stats_of(mig, view)
+        stats = view.stats()
         # No defensive copy: node_levels is freshly built per stats()
         # call and excluded from the frozen dataclass hash/compare.
         levels = stats.node_levels
@@ -321,7 +284,7 @@ def inverter_propagation_pass(
             return new_c, new_po_c
 
         changed = False
-        for node in _reachable_of(mig, view):
+        for node in view.reachable():
             if not mig.is_gate(node):
                 continue
             case = inverter_propagation_case(mig, node)
@@ -340,8 +303,7 @@ def inverter_propagation_pass(
             c_own = new_c[level]
             old_cost = steps_weight * total_l(c_per_level, po_complements)
             old_cost += rram_weight * total_r(c_per_level)
-            if view is not None:
-                view.counters.moves_tried += 1
+            view.counters.moves_tried += 1
             if new_cost > old_cost:
                 continue
             if new_cost == old_cost:
@@ -356,14 +318,13 @@ def inverter_propagation_pass(
                 continue
             changed = True
             changed_any = True
-            if view is not None:
-                view.counters.moves_accepted += 1
+            view.counters.moves_accepted += 1
             if outcome:
                 c_per_level = new_c
                 po_complements = new_po_c
             else:
                 # Structural merge — recount everything.
-                stats = _stats_of(mig, view)
+                stats = view.stats()
                 levels = stats.node_levels
                 n_per_level = list(stats.nodes_per_level)
                 c_per_level = list(stats.complements_per_level)
@@ -436,8 +397,8 @@ def clear_complemented_levels(
     mig: Mig,
     realization: Realization,
     *,
+    view: CostView,
     max_rounds: int = 16,
-    view: Optional[CostView] = None,
 ) -> bool:
     """Greedy level-clearing: the objective of paper Sec. III-D made
     explicit.
@@ -449,9 +410,9 @@ def clear_complemented_levels(
     committed only when the global step count strictly improves (RRAM
     count as tie-break), otherwise rolled back.
 
-    With a :class:`CostView` attached, rejected candidates are scored
-    with :meth:`CostView.predict_flip_group` instead of the
-    apply/measure/rollback cycle that dominates the whole-set runtime.
+    Candidates are scored with :meth:`CostView.predict_flip_group`
+    instead of the apply/measure/rollback cycle that would dominate the
+    whole-set runtime.
     This is result-identical: the prediction is exact unless a strash
     collision is possible (then it falls back to the measured path),
     and a measured rejection's renumbering — rollback + ``compact()``
@@ -462,7 +423,7 @@ def clear_complemented_levels(
     """
     changed_any = False
     for _round in range(max_rounds):
-        stats = _stats_of(mig, view)
+        stats = view.stats()
         before = (
             stats.step_count(realization),
             stats.rram_count(realization),
@@ -516,27 +477,22 @@ def clear_complemented_levels(
                 if plan is None:
                     continue
                 flips = plan[0] + plan[1]
-            if view is not None:
-                view.counters.moves_tried += 1
-                predicted = view.predict_flip_group(flips, realization)
-                if predicted is not None:
-                    if predicted < before:
-                        for node in flips:
-                            if mig.is_gate(node):
-                                apply_inverter_propagation(mig, node)
-                        view.counters.moves_accepted += 1
-                        improved = True
-                        changed_any = True
-                        _record_trial(
-                            mig, view, rule="clear_level", accepted=True
-                        )
-                        break
-                    view.counters.predicted_skips += 1
-                    reject_compact()
-                    _record_trial(
-                        mig, view, rule="clear_level", accepted=False
-                    )
-                    continue
+            view.counters.moves_tried += 1
+            predicted = view.predict_flip_group(flips, realization)
+            if predicted is not None:
+                if predicted < before:
+                    for node in flips:
+                        if mig.is_gate(node):
+                            apply_inverter_propagation(mig, node)
+                    view.counters.moves_accepted += 1
+                    improved = True
+                    changed_any = True
+                    _record_trial(mig, view, rule="clear_level", accepted=True)
+                    break
+                view.counters.predicted_skips += 1
+                reject_compact()
+                _record_trial(mig, view, rule="clear_level", accepted=False)
+                continue
             # Measured trial under an O(touched) undo journal; a rejected
             # trial rolls back and compacts, landing on
             # ``clone(clone(pre-trial state))`` (``clone`` never reads
@@ -552,14 +508,13 @@ def clear_complemented_levels(
                 at_fixpoint = True
                 _record_trial(mig, view, rule="clear_level", accepted=False)
                 continue
-            after_costs = _costs_of(mig, realization, view)
+            after_costs = view.costs(realization)
             after = (after_costs.steps, after_costs.rrams)
             if after < before:
                 mig.commit(token)
                 improved = True
                 changed_any = True
-                if view is not None:
-                    view.counters.moves_accepted += 1
+                view.counters.moves_accepted += 1
                 _record_trial(mig, view, rule="clear_level", accepted=True)
                 break
             mig.rollback(token)
@@ -602,35 +557,37 @@ def _try_clear_po_level(mig: Mig) -> bool:
 
 
 @traced("pass.relevance_sweep")
-def _relevance_sweep(mig: Mig, view: Optional[CostView] = None) -> bool:
+def _relevance_sweep(mig: Mig, *, view: CostView) -> bool:
     """Apply Ψ.R across the critical paths (the middle step of Alg. 2)."""
-    levels = _levels_of(mig, view)
+    levels = view.levels()
     changed = False
-    for node in _critical_nodes_from(mig, levels, view):
+    for node in _critical_nodes_from(mig, levels, view=view):
         if not mig.is_gate(node):
             continue
         if apply_relevance(mig, node, levels):
             changed = True
-            levels = _levels_of(mig, view)
+            levels = view.levels()
     return changed
 
 
 def _drive(
-    mig: Mig,
     algorithm: str,
     effort: int,
-    cycle_body,
-    objective,
-    view: Optional[CostView] = None,
+    cycle_body: Callable[[int], bool],
+    objective: Callable[[], Tuple[int, ...]],
+    *,
+    view: CostView,
 ) -> OptimizationResult:
     """Shared driver: iterate, snapshot the best, roll back at the end.
 
-    ``cycle_body(mig, cycle) -> bool`` runs one optimization cycle and
-    reports whether anything changed; ``objective(mig)`` returns a
-    comparable key (smaller is better).
+    ``cycle_body(cycle)`` runs one optimization cycle on ``view.mig``
+    and reports whether anything changed; ``objective()`` returns a
+    comparable key of the current graph (smaller is better).  The
+    caller fills in ``profile`` once its run is over.
     """
-    initial_size, initial_depth = _size_depth(mig, view)
-    best_key = objective(mig)
+    mig = view.mig
+    initial_size, initial_depth = view.size_depth()
+    best_key = objective()
     # Best-snapshot tracking: a checkpoint stays open at the best state
     # seen so far — improving cycles commit it and open a fresh one
     # (O(1)), worse cycles accumulate undo records.  Restoring the best
@@ -643,9 +600,9 @@ def _drive(
         for cycle in range(effort):
             cycles = cycle + 1
             with span(f"{algorithm}.cycle", cycle=cycle):
-                changed = cycle_body(mig, cycle)
-            history.append(_size_depth(mig, view))
-            key = objective(mig)
+                changed = cycle_body(cycle)
+            history.append(view.size_depth())
+            key = objective()
             improved_cycle = key < best_key
             _record_trial(
                 mig, view, rule=f"{algorithm}.cycle", accepted=improved_cycle
@@ -659,7 +616,7 @@ def _drive(
                 stale += 1
             if not changed or stale >= 3:
                 break
-        if objective(mig) > best_key:
+        if objective() > best_key:
             mig.rollback(token)
             mig.compact()
             _record_trial(
@@ -667,7 +624,7 @@ def _drive(
             )
         else:
             mig.commit(token)
-    final_size, final_depth = _size_depth(mig, view)
+    final_size, final_depth = view.size_depth()
     return OptimizationResult(
         algorithm=algorithm,
         cycles_run=cycles,
@@ -676,7 +633,6 @@ def _drive(
         final_size=final_size,
         final_depth=final_depth,
         history=history,
-        profile=view.profile() if view is not None else None,
     )
 
 
@@ -688,20 +644,15 @@ def optimize_area(mig: Mig, effort: int = DEFAULT_EFFORT) -> OptimizationResult:
 
     view = CostView(mig)
 
-    def body(graph: Mig, cycle: int) -> bool:
-        changed = eliminate(graph, view=view)
-        changed |= reshape(graph, variant=cycle, view=view)
-        changed |= eliminate(graph, view=view)
+    def body(cycle: int) -> bool:
+        changed = eliminate(mig, view=view)
+        changed |= reshape(mig, variant=cycle, view=view)
+        changed |= eliminate(mig, view=view)
         return changed
 
-    def objective(graph: Mig) -> Tuple[int, int]:
-        size, depth = _size_depth(graph, view if graph is mig else None)
-        return (size, depth)
-
-    result = _drive(mig, "area", effort, body, objective, view)
+    result = _drive("area", effort, body, view.size_depth, view=view)
     eliminate(mig, view=view)
-    size, depth = _size_depth(mig, view)
-    result.final_size, result.final_depth = size, depth
+    result.final_size, result.final_depth = view.size_depth()
     result.profile = view.profile()
     return result
 
@@ -714,17 +665,70 @@ def optimize_depth(mig: Mig, effort: int = DEFAULT_EFFORT) -> OptimizationResult
 
     view = CostView(mig)
 
-    def body(graph: Mig, cycle: int) -> bool:
-        changed = push_up(graph, use_relevance=False, view=view)
-        changed |= _relevance_sweep(graph, view)
-        changed |= push_up(graph, use_relevance=False, view=view)
+    def body(cycle: int) -> bool:
+        changed = push_up(mig, use_relevance=False, view=view)
+        changed |= _relevance_sweep(mig, view=view)
+        changed |= push_up(mig, use_relevance=False, view=view)
         return changed
 
-    def objective(graph: Mig) -> Tuple[int, int]:
-        size, depth = _size_depth(graph, view if graph is mig else None)
+    def objective() -> Tuple[int, int]:
+        size, depth = view.size_depth()
         return (depth, size)
 
-    return _drive(mig, "depth", effort, body, objective, view)
+    result = _drive("depth", effort, body, objective, view=view)
+    result.profile = view.profile()
+    return result
+
+
+def _optimize_under_step_budget(
+    mig: Mig,
+    realization: Realization,
+    effort: int,
+    step_budget_factor: float,
+    algorithm: str,
+    cycle_body: Callable[[CostView, int], bool],
+) -> OptimizationResult:
+    """Alg. 3's frame: RRAM minimization under a probed step budget.
+
+    A step-oriented probe (:func:`optimize_steps` on a clone, at most
+    16 cycles) establishes the achievable step count ``S*``; the graph
+    starts from the probe when that is better, and the cycle loop runs
+    ``cycle_body(view, cycle)`` under the lexicographic objective
+    *(steps ≤ budget, RRAMs, steps)* with
+    ``budget = step_budget_factor · S*``.  The result covers the whole
+    run: the input's size and depth, the probe's cycles and counters.
+    """
+    # Phase 1 — step-oriented probe (Alg. 3 also opens with push-up and
+    # complement management; the probe is the same machinery run to a
+    # reduced budget).  A clone keeps the live size and depth, so the
+    # probe's initial numbers are the input's.
+    probe = mig.clone()
+    probe_result = optimize_steps(probe, realization, min(effort, 16))
+    probe_costs = rram_costs(probe, realization)
+    budget = int(probe_costs.steps * step_budget_factor) + 1
+
+    def key(costs: RramCosts) -> Tuple[int, int, int]:
+        return (1 if costs.steps > budget else 0, costs.rrams, costs.steps)
+
+    view = CostView(mig)
+    if key(probe_costs) < key(view.costs(realization)):
+        mig.copy_from(probe)
+
+    result = _drive(
+        algorithm,
+        effort,
+        lambda cycle: cycle_body(view, cycle),
+        lambda: key(view.costs(realization)),
+        view=view,
+    )
+    result.cycles_run += probe_result.cycles_run
+    result.initial_size = probe_result.initial_size
+    result.initial_depth = probe_result.initial_depth
+    result.final_size, result.final_depth = view.size_depth()
+    result.profile = view.profile()
+    for name, value in probe_result.profile.items():
+        result.profile[name] = result.profile.get(name, 0) + value
+    return result
 
 
 def optimize_rram(
@@ -738,13 +742,13 @@ def optimize_rram(
     ``push-up; Ω.I_{R→L}(1–3); push-up; Ω.A + Ω.D_{R→L}`` per cycle.
 
     The bi-objective is realized as RRAM minimization under a step
-    budget: a short step-oriented probe first establishes the
-    achievable step count ``S*``, then the cycle loop explores with the
-    lexicographic objective *(steps ≤ budget, RRAMs, steps)* where
-    ``budget = step_budget_factor · S*``.  This reproduces the
-    trade-off profile of the paper's Table II Σ row — versus the pure
-    step optimizer, roughly 20 % fewer RRAMs for roughly 20–35 % more
-    steps.
+    budget (:func:`_optimize_under_step_budget`): a short step-oriented
+    probe first establishes the achievable step count ``S*``, then the
+    cycle loop explores with the lexicographic objective *(steps ≤
+    budget, RRAMs, steps)* where ``budget = step_budget_factor · S*``.
+    This reproduces the trade-off profile of the paper's Table II Σ
+    row — versus the pure step optimizer, roughly 20 % fewer RRAMs for
+    roughly 20–35 % more steps.
 
     The default budget factor is realization-aware: the MAJ realization
     (3 steps/level) can afford generous step slack for RRAM savings;
@@ -754,54 +758,22 @@ def optimize_rram(
     """
     if step_budget_factor is None:
         step_budget_factor = 1.45 if realization is Realization.MAJ else 1.05
-    initial_size, initial_depth = _size_depth(mig)
 
-    # Phase 1 — step-oriented probe (Alg. 3 also opens with push-up and
-    # complement management; the probe is the same machinery run to a
-    # reduced budget).
-    probe = mig.clone()
-    probe_result = optimize_steps(probe, realization, min(effort, 16))
-    probe_costs = rram_costs(probe, realization)
-    budget = int(probe_costs.steps * step_budget_factor) + 1
-
-    view = CostView(mig)
-
-    def objective(graph: Mig) -> Tuple[int, int, int]:
-        costs = _costs_of(
-            graph, realization, view if graph is mig else None
-        )
-        return (
-            1 if costs.steps > budget else 0,
-            costs.rrams,
-            costs.steps,
-        )
-
-    if objective(probe) < objective(mig):
-        mig.copy_from(probe)
-
-    def body(graph: Mig, cycle: int) -> bool:
-        changed = push_up(graph, use_relevance=False, view=view)
+    def body(view: CostView, cycle: int) -> bool:
+        changed = push_up(mig, use_relevance=False, view=view)
         changed |= inverter_propagation_pass(
-            graph, realization, cases=(1, 2, 3), steps_weight=2,
+            mig, realization, cases=(1, 2, 3), steps_weight=2,
             rram_weight=1, view=view,
         )
-        changed |= clear_complemented_levels(graph, realization, view=view)
-        changed |= push_up(graph, use_relevance=False, view=view)
-        changed |= reshape(graph, variant=cycle, view=view)
-        changed |= eliminate(graph, view=view)
+        changed |= clear_complemented_levels(mig, realization, view=view)
+        changed |= push_up(mig, use_relevance=False, view=view)
+        changed |= reshape(mig, variant=cycle, view=view)
+        changed |= eliminate(mig, view=view)
         return changed
 
-    result = _drive(mig, "rram", effort, body, objective, view)
-    result.cycles_run += probe_result.cycles_run
-    result.initial_size = initial_size
-    result.initial_depth = initial_depth
-    size, depth = _size_depth(mig, view)
-    result.final_size, result.final_depth = size, depth
-    result.profile = view.profile()
-    if probe_result.profile:
-        for key, value in probe_result.profile.items():
-            result.profile[key] = result.profile.get(key, 0) + value
-    return result
+    return _optimize_under_step_budget(
+        mig, realization, effort, step_budget_factor, "rram", body
+    )
 
 
 def optimize_steps(
@@ -818,37 +790,34 @@ def optimize_steps(
 
     view = CostView(mig)
 
-    def body(graph: Mig, cycle: int) -> bool:
-        changed = push_up(graph, use_relevance=False, view=view)
+    def body(cycle: int) -> bool:
+        changed = push_up(mig, use_relevance=False, view=view)
         changed |= inverter_propagation_pass(
-            graph, realization, cases=None, steps_weight=8, rram_weight=1,
+            mig, realization, cases=None, steps_weight=8, rram_weight=1,
             view=view,
         )
         changed |= inverter_propagation_pass(
-            graph, realization, cases=(1, 2, 3), steps_weight=8,
+            mig, realization, cases=(1, 2, 3), steps_weight=8,
             rram_weight=1, view=view,
         )
-        changed |= clear_complemented_levels(graph, realization, view=view)
-        changed |= push_up(graph, use_relevance=False, view=view)
+        changed |= clear_complemented_levels(mig, realization, view=view)
+        changed |= push_up(mig, use_relevance=False, view=view)
         return changed
 
-    def objective(graph: Mig) -> Tuple[int, int]:
-        costs = _costs_of(
-            graph, realization, view if graph is mig else None
-        )
+    def objective() -> Tuple[int, int]:
+        costs = view.costs(realization)
         return (costs.steps, costs.rrams)
 
-    result = _drive(mig, "steps", effort, body, objective, view)
-    before = objective(mig)
+    result = _drive("steps", effort, body, objective, view=view)
+    before = objective()
     token = mig.checkpoint()
     push_up(mig, use_relevance=True, view=view)
-    if objective(mig) > before:
+    if objective() > before:
         mig.rollback(token)
         mig.compact()
     else:
         mig.commit(token)
-    size, depth = _size_depth(mig, view)
-    result.final_size, result.final_depth = size, depth
+    result.final_size, result.final_depth = view.size_depth()
     result.profile = view.profile()
     return result
 

@@ -35,14 +35,13 @@ from .views import Realization, level_stats
 class _ComplementModel:
     """Incremental evaluator of (L, R) under a flip assignment."""
 
-    def __init__(self, mig: Mig, realization: Realization, stats=None) -> None:
-        if stats is None:
-            stats = level_stats(mig)
+    def __init__(self, mig: Mig, realization: Realization) -> None:
+        stats = level_stats(mig)
         self.depth = stats.depth
         self.k_r = realization.rrams_per_gate
         self.k_s = realization.steps_per_level
-        # No defensive copy: level_stats/CostView.stats build the dict
-        # fresh per call and the model only reads it.
+        # No defensive copy: level_stats builds the dict fresh per call
+        # and the model only reads it.
         self.node_level: Dict[int, int] = stats.node_levels
         self.nodes = mig.reachable_nodes()
         self.n_per_level = list(stats.nodes_per_level)
@@ -136,15 +135,12 @@ def anneal_complements(
     initial_temperature: float = 2.0,
     steps_weight: float = 4.0,
     rram_weight: float = 1.0,
-    view=None,
 ) -> bool:
     """Anneal the flip assignment; apply the best one found.
 
     Returns True when the realized assignment improved ``(S, R)``.
-    ``view`` optionally supplies a :class:`repro.mig.costview.CostView`
-    so the before/after cost evaluations reuse the incremental state.
     """
-    nodes = view.reachable() if view is not None else mig.reachable_nodes()
+    nodes = mig.reachable_nodes()
     if not nodes:
         return False
     with span("pass.anneal_complements", iterations=iterations, seed=seed):
@@ -157,7 +153,6 @@ def anneal_complements(
             initial_temperature=initial_temperature,
             steps_weight=steps_weight,
             rram_weight=rram_weight,
-            view=view,
         )
 
 
@@ -171,11 +166,8 @@ def _anneal_complements(
     initial_temperature: float,
     steps_weight: float,
     rram_weight: float,
-    view,
 ) -> bool:
-    model = _ComplementModel(
-        mig, realization, stats=view.stats() if view is not None else None
-    )
+    model = _ComplementModel(mig, realization)
     start = model.costs()
 
     def energy(costs: Tuple[int, int]) -> float:
@@ -208,7 +200,7 @@ def _anneal_complements(
     to_flip = [node for node, flip in best_flips.items() if flip]
     if not to_flip:
         return False
-    before = view.stats() if view is not None else level_stats(mig)
+    before = level_stats(mig)
     before_costs = (
         before.step_count(realization),
         before.rram_count(realization),
@@ -219,7 +211,7 @@ def _anneal_complements(
     for node in to_flip:
         if mig.is_gate(node):
             apply_inverter_propagation(mig, node)
-    after = view.stats() if view is not None else level_stats(mig)
+    after = level_stats(mig)
     after_costs = (
         after.step_count(realization),
         after.rram_count(realization),
@@ -230,10 +222,10 @@ def _anneal_complements(
         mig.compact()
         metrics().counter("anneal.rejected").inc()
         if recorder is not None:
-            recorder.record_state(mig, view, rule="anneal", accepted=False)
+            recorder.record_state(mig, rule="anneal", accepted=False)
         return False
     mig.commit(token)
     metrics().counter("anneal.realized").inc()
     if recorder is not None:
-        recorder.record_state(mig, view, rule="anneal", accepted=True)
+        recorder.record_state(mig, rule="anneal", accepted=True)
     return True

@@ -1,6 +1,6 @@
 """Incrementally-maintained cost views over a mutating MIG.
 
-The paper's optimizers (Algorithms 1–4, the annealer, cut rewriting)
+The paper's optimizers (Algorithms 1–4, and the cut-rewriting flows)
 interleave small structural edits with Table I cost evaluations.  The
 from-scratch views in :mod:`repro.mig.views` are O(V·fanin) per call,
 which turns every optimizer loop into O(V) *per move* — the dominant
@@ -29,13 +29,14 @@ exercised by the property tests.
 Consumers receive *copies* of the level map (they memoize scratch
 entries for speculative nodes into it), so sharing the view cannot
 change optimizer decisions: identical inputs produce identical moves,
-and the optimized graphs are bit-identical with and without the view.
+and the optimized graphs are bit-identical to those of the fuzz
+oracle's from-scratch ``ScratchView``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graph import EVENT_ATTACH, EVENT_DETACH, EVENT_PO, Mig
@@ -57,15 +58,6 @@ class CostViewCounters:
     moves_tried: int = 0
     moves_accepted: int = 0
     predicted_skips: int = 0
-
-    def merge(self, other: "CostViewCounters") -> None:
-        self.full_recomputes += other.full_recomputes
-        self.delta_updates += other.delta_updates
-        self.cache_hits += other.cache_hits
-        self.events_replayed += other.events_replayed
-        self.moves_tried += other.moves_tried
-        self.moves_accepted += other.moves_accepted
-        self.predicted_skips += other.predicted_skips
 
     def as_dict(self) -> Dict[str, int]:
         return {

@@ -178,19 +178,6 @@ class Mig:
         """
         return self._generation
 
-    def counters_snapshot(self) -> Dict[str, int]:
-        """The graph's monotone profiling counters under the canonical
-        telemetry names (see ``repro.telemetry.schema``)."""
-        return {
-            "mig.tx_checkpoints": self.tx_checkpoints,
-            "mig.tx_rollbacks": self.tx_rollbacks,
-            "mig.tx_undo_replayed": self.tx_undo_replayed,
-            "mig.strash_hits": self.strash_hits,
-            "mig.strash_misses": self.strash_misses,
-            "graph.compactions": self.compactions,
-            "graph.nodes_allocated": len(self._children),
-        }
-
     def enable_event_log(self) -> int:
         """Start recording structural events for incremental views.
 

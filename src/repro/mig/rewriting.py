@@ -25,15 +25,15 @@ from ..telemetry import metrics, traced
 from .algorithms import (
     OptimizationResult,
     _drive,
-    _size_depth,
+    _optimize_under_step_budget,
     clear_complemented_levels,
     eliminate,
     inverter_propagation_pass,
-    optimize_steps,
     push_up,
     reshape,
 )
-from .views import Realization, rram_costs
+from .costview import CostView
+from .views import Realization
 from .cuts import (
     DEFAULT_CUT_SIZE,
     cut_function,
@@ -168,22 +168,19 @@ def optimize_area_plus(
     Uses the same best-snapshot driver as the paper algorithms, so the
     result is never worse than the starting point.
     """
+    view = CostView(mig)
 
-    def body(graph: Mig, cycle: int) -> bool:
-        changed = eliminate(graph)
-        changed |= cut_rewrite(graph, cut_size=cut_size)
-        changed |= reshape(graph, variant=cycle)
-        changed |= eliminate(graph)
+    def body(cycle: int) -> bool:
+        changed = eliminate(mig, view=view)
+        changed |= cut_rewrite(mig, cut_size=cut_size)
+        changed |= reshape(mig, variant=cycle, view=view)
+        changed |= eliminate(mig, view=view)
         return changed
 
-    def objective(graph: Mig):
-        size, depth = _size_depth(graph)
-        return (size, depth)
-
-    result = _drive(mig, "area+rewrite", effort, body, objective)
-    eliminate(mig)
-    size, depth = _size_depth(mig)
-    result.final_size, result.final_depth = size, depth
+    result = _drive("area+rewrite", effort, body, view.size_depth, view=view)
+    eliminate(mig, view=view)
+    result.final_size, result.final_depth = view.size_depth()
+    result.profile = view.profile()
     return result
 
 
@@ -199,31 +196,22 @@ def optimize_rram_plus(
 
     Cut rewriting shrinks the graph, which shrinks level populations and
     therefore ``R = max(K·N_i + C_i)`` directly — the lever the paper's
-    conventional area pass mostly lacks.  Same budgeted objective as
-    :func:`repro.mig.algorithms.optimize_rram`.
+    conventional area pass mostly lacks.  Same probe and budgeted
+    objective as :func:`repro.mig.algorithms.optimize_rram`.
     """
-    probe = mig.clone()
-    optimize_steps(probe, realization, min(effort, 16))
-    budget = int(
-        rram_costs(probe, realization).steps * step_budget_factor
-    ) + 1
 
-    def objective(graph: Mig):
-        costs = rram_costs(graph, realization)
-        return (1 if costs.steps > budget else 0, costs.rrams, costs.steps)
-
-    if objective(probe) < objective(mig):
-        mig.copy_from(probe)
-
-    def body(graph: Mig, cycle: int) -> bool:
-        changed = cut_rewrite(graph, cut_size=cut_size)
-        changed |= push_up(graph, use_relevance=False)
+    def body(view: CostView, cycle: int) -> bool:
+        changed = cut_rewrite(mig, cut_size=cut_size)
+        changed |= push_up(mig, use_relevance=False, view=view)
         changed |= inverter_propagation_pass(
-            graph, realization, cases=(1, 2, 3), steps_weight=2, rram_weight=1
+            mig, realization, cases=(1, 2, 3), steps_weight=2, rram_weight=1,
+            view=view,
         )
-        changed |= clear_complemented_levels(graph, realization)
-        changed |= reshape(graph, variant=cycle)
-        changed |= eliminate(graph)
+        changed |= clear_complemented_levels(mig, realization, view=view)
+        changed |= reshape(mig, variant=cycle, view=view)
+        changed |= eliminate(mig, view=view)
         return changed
 
-    return _drive(mig, "rram+rewrite", effort, body, objective)
+    return _optimize_under_step_budget(
+        mig, realization, effort, step_budget_factor, "rram+rewrite", body
+    )

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.fuzz import CHECKS, OracleFailure, case_circuit, check_case
-from repro.mig import Mig, mig_from_netlist, signal_not
+from repro.fuzz.oracle import _check_costview_differential
+from repro.mig import CostView, Mig, mig_from_netlist, signal_not
 from repro.network import GateType, Netlist
 
 
@@ -94,6 +95,28 @@ class TestTxAudit:
 
     def test_checks_registered(self):
         assert "tx-audit" in CHECKS
+
+
+class TestCostViewDifferential:
+    def test_off_by_one_cost_view_is_caught(self, monkeypatch):
+        """A CostView whose node heights are one too high finds no
+        critical path, so ``push_up`` stops moving; the from-scratch
+        reference still moves, and ``costview-diff`` names the pass.
+        ``assert_consistent`` does not check heights, so only the
+        differential against the reference can catch this."""
+        netlist, _ = case_circuit("gates", 7)
+        base = mig_from_netlist(netlist)
+        assert _check_costview_differential(base, netlist) is None
+        heights = CostView.heights
+
+        def off_by_one(view):
+            return {node: h + 1 for node, h in heights(view).items()}
+
+        monkeypatch.setattr(CostView, "heights", off_by_one)
+        failure = _check_costview_differential(base, netlist)
+        assert failure is not None
+        assert failure.check == "costview-diff"
+        assert "pass push_up" in failure.detail
 
 
 class TestCrossbarChecks:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.mig import (
     ALGORITHMS,
+    CostView,
     EquivalenceGuard,
     Realization,
     eliminate,
@@ -179,7 +180,7 @@ class TestPasses:
         mig.add_po(top)
         assert mig.num_gates() == 3
         guard = EquivalenceGuard(mig)
-        assert eliminate(mig)
+        assert eliminate(mig, view=CostView(mig))
         guard.verify_or_raise()
         assert mig.num_gates() == 2
 
@@ -193,7 +194,7 @@ class TestPasses:
             acc = mig.make_or(acc, s)
         mig.add_po(acc)
         before = level_stats(mig).depth
-        push_up(mig)
+        push_up(mig, view=CostView(mig))
         assert level_stats(mig).depth < before
 
     def test_algorithms_registry(self):

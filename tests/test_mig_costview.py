@@ -4,8 +4,8 @@ The CostView promises *exact* agreement with the from-scratch
 :func:`repro.mig.views.level_stats` after any mutation sequence, plus
 exact speculative scoring for Ω.I flip groups.  These tests hammer both
 promises with random mutation storms, and pin the optimizer-facing
-contract: identical results to the view-less baseline and preserved
-Boolean functions.
+contract: identical results to the from-scratch reference and
+preserved Boolean functions.
 """
 
 import copy

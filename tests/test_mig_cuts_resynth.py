@@ -285,3 +285,33 @@ class TestOptimizeRramPlus:
         after = rram_costs(mig, Realization.MAJ)
         assert after.rrams <= star.rrams
         assert after.steps <= int(star.steps * 1.45) + 1
+
+    def test_reports_the_input_and_counts_the_probe(self):
+        """On clip the step probe beats the input, so the run starts
+        from the probe; the result must still report the input's size
+        and depth and count the probe's cycles, as ``optimize_rram``
+        does."""
+        from repro.benchmarks import load_mig
+        from repro.mig import (
+            Realization,
+            level_stats,
+            optimize_rram,
+            optimize_rram_plus,
+            optimize_steps,
+        )
+
+        before = level_stats(load_mig("clip"))
+        probe = optimize_steps(load_mig("clip"), Realization.MAJ, 2)
+        plus = optimize_rram_plus(load_mig("clip"), Realization.MAJ, 2)
+        assert (plus.initial_size, plus.initial_depth) == (
+            before.size,
+            before.depth,
+        )
+        assert plus.cycles_run == len(plus.history) + probe.cycles_run
+        rram = optimize_rram(
+            load_mig("clip"), Realization.MAJ, 2, step_budget_factor=1.45
+        )
+        assert (rram.initial_size, rram.initial_depth) == (
+            plus.initial_size,
+            plus.initial_depth,
+        )

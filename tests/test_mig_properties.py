@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mig import (
+    CostView,
     EquivalenceGuard,
     Mig,
     Realization,
@@ -96,7 +97,7 @@ def test_eliminate_never_grows(seed):
     mig = random_mig(seed, num_gates=16)
     guard = EquivalenceGuard(mig)
     before = mig.num_gates()
-    eliminate(mig)
+    eliminate(mig, view=CostView(mig))
     guard.verify_or_raise()
     assert mig.num_gates() <= before
 
@@ -109,7 +110,7 @@ def test_push_up_never_deepens(seed):
     mig = random_mig(seed, num_gates=16)
     guard = EquivalenceGuard(mig)
     before = level_stats(mig).depth
-    push_up(mig)
+    push_up(mig, view=CostView(mig))
     guard.verify_or_raise()
     assert level_stats(mig).depth <= before
 
@@ -119,7 +120,7 @@ def test_push_up_never_deepens(seed):
 def test_reshape_preserves_function(seed):
     mig = random_mig(seed, num_gates=16)
     guard = EquivalenceGuard(mig)
-    reshape(mig, variant=seed % 2)
+    reshape(mig, variant=seed % 2, view=CostView(mig))
     guard.verify_or_raise()
     mig.check_invariants()
 
@@ -129,7 +130,7 @@ def test_reshape_preserves_function(seed):
 def test_inverter_pass_preserves_function(seed, realization):
     mig = random_mig(seed, num_gates=16)
     guard = EquivalenceGuard(mig)
-    inverter_propagation_pass(mig, realization)
+    inverter_propagation_pass(mig, realization, view=CostView(mig))
     guard.verify_or_raise()
     mig.check_invariants()
 
